@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .combinatorics import BallotPath, LatticeWord, Partition, StandardTableau
+from .combinatorics import BallotPath, LatticeWord, Partition, StandardTableau, _relabel
 
 
 def word_to_tableau(word: LatticeWord) -> StandardTableau:
@@ -44,16 +44,17 @@ def tableau_to_word(tableau: StandardTableau) -> LatticeWord:
 
 
 def word_to_path(word: LatticeWord) -> BallotPath:
-    """Replace symbol s with a unit step in coordinate m - s + 1.
+    """Replace each symbol with a unit step in the mirrored coordinate
+    (1 and m swap, 2 and m-1 swap, and so on).
 
     Ascents of the path match descents of the word and vice versa.
     """
-    return BallotPath(tuple(word.m - s + 1 for s in word.symbols), word.n, word.m)
+    return BallotPath(_relabel(word.symbols, word.m), word.n, word.m)
 
 
 def path_to_word(path: BallotPath) -> LatticeWord:
     """Inverse of :func:`word_to_path`."""
-    return LatticeWord(tuple(path.m - s + 1 for s in path.steps), path.n, path.m)
+    return LatticeWord(_relabel(path.steps, path.m), path.n, path.m)
 
 
 def perm_to_tableau(

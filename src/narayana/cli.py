@@ -18,21 +18,15 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .cache import (
-    CACHE_ENV_VAR,
-    DEFAULT_CACHE_PATH,
-    PolynomialCache,
-    narayana_key,
-    wpoly_key,
-)
+from .cache import CACHE_ENV_VAR, DEFAULT_CACHE_PATH, PolynomialCache, narayana_key
 from .combinatorics import (
     BudgetExceededError,
     Partition,
+    enumerate_ballot_paths,
     enumerate_lattice_words,
     enumerate_partitions,
     enumerate_syt,
 )
-from .bijections import word_to_path
 from .generating import (
     narayana_polynomial,
     rectangular_catalan,
@@ -57,7 +51,7 @@ SUITE_NAMES = ("theorem21", "sulanke", "eq33", "ordergf")
 SUITE_DEFAULT_CELLS = {"theorem21": 16, "sulanke": 16, "eq33": 10, "ordergf": 7}
 SUITE_HARD_CAPS = {"theorem21": 22, "sulanke": 22, "eq33": 12, "ordergf": 8}
 
-CONFIG_KEYS = ("cache", "jobs", "max_cells", "series_terms", "format")
+FORMAT_CHOICES = {"poly": ("plain", "json", "csv"), "analyze": ("plain", "json")}
 
 
 def _nonnegative(text: str) -> int:
@@ -94,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("--n", type=_nonnegative, required=True, help="symbol quota")
     poly.add_argument("--m", type=_nonnegative, required=True, help="alphabet size")
     poly.add_argument(
-        "--format", choices=("plain", "json", "csv"), default=None,
+        "--format", choices=FORMAT_CHOICES["poly"], default=None,
         help="output format (default plain)",
     )
     poly.add_argument("--max-cells", type=_positive, default=None, dest="max_cells")
@@ -148,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--coeffs", required=True, help='coefficients low to high, e.g. "1,3,1"'
     )
     analyze.add_argument(
-        "--format", choices=("plain", "json"), default=None,
+        "--format", choices=FORMAT_CHOICES["analyze"], default=None,
         help="output format (default plain)",
     )
     analyze.set_defaults(func=cmd_analyze)
@@ -168,28 +162,60 @@ def _add_cache_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config(argv: list[str]) -> dict:
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return {}
+def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read config {path}: {exc}")
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
-        raise SystemExit(f"error: config {path} must hold a JSON object")
-    return {key: data[key] for key in CONFIG_KEYS if key in data}
+        parser.error(f"config {path} must hold a JSON object")
+    return data
 
 
-def _open_cache(args, config: dict) -> PolynomialCache:
-    path = args.cache or os.environ.get(CACHE_ENV_VAR) or config.get("cache") or DEFAULT_CACHE_PATH
-    return PolynomialCache(path, enabled=not args.no_cache, version=__version__)
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("must be a string")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
+    """Fill the settings the command line left unset.
+
+    Explicit flags win over the environment, which wins over config values,
+    which win over built-in defaults. A config value goes through the same
+    validator as its flag, and a bad file or value is a usage error.
+    """
+    config = _read_config(parser, args.config) if args.config else {}
+
+    def setting(key: str, check, default):
+        if key not in config:
+            return default
+        value = config[key]
+        try:
+            return check(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+            parser.error(f"config {args.config}: invalid {key} {value!r}: {exc}")
+
+    def choice(value):
+        choices = FORMAT_CHOICES[args.command]
+        if value not in choices:
+            raise ValueError(f"choose from {', '.join(choices)}")
+        return value
+
+    if hasattr(args, "max_cells") and args.max_cells is None:
+        args.max_cells = setting("max_cells", lambda v: _positive(str(v)), None)
+    if hasattr(args, "jobs") and args.jobs is None:
+        args.jobs = setting("jobs", lambda v: _positive(str(v)), 1)
+    if hasattr(args, "series_terms") and args.series_terms is None:
+        args.series_terms = setting("series_terms", lambda v: _nonnegative(str(v)), 10)
+    if hasattr(args, "format") and args.format is None:
+        args.format = setting("format", choice, "plain")
+    if hasattr(args, "cache"):
+        configured = setting("cache", _string, None)
+        args.cache = (
+            args.cache or os.environ.get(CACHE_ENV_VAR) or configured or DEFAULT_CACHE_PATH
+        )
 
 
 def _analysis_flags(poly: IntPolynomial) -> dict:
@@ -201,20 +227,23 @@ def _analysis_flags(poly: IntPolynomial) -> dict:
 
 
 def cmd_poly(args) -> int:
-    cache = _open_cache(args, args._config)
+    cache = PolynomialCache(args.cache, enabled=not args.no_cache, version=__version__)
     key = narayana_key(args.n, args.m)
     catalan = rectangular_catalan(args.n, args.m)
     coefficients = cache.get_coefficients(key)
     if coefficients is not None and sum(coefficients) != catalan:
         print(f"warning: cache entry {key!r} fails the count check, recomputing", file=sys.stderr)
         coefficients = None
-    if coefficients is None:
+    computed = coefficients is None
+    if computed:
         poly = narayana_polynomial(args.n, args.m, max_cells=args.max_cells)
     else:
         poly = IntPolynomial(coefficients)
     flags = _analysis_flags(poly)
-    cache.put(key, poly.coefficients, flags=flags)
-    cache.save()
+    # only a computed polynomial is news to the cache; a hit leaves the file alone
+    if computed:
+        cache.put(key, poly.coefficients, flags=flags)
+        cache.save()
     if args.format == "plain":
         print(" ".join(str(c) for c in poly.coefficients))
     elif args.format == "csv":
@@ -243,9 +272,8 @@ def cmd_enumerate(args) -> int:
     if args.kind in ("words", "paths"):
         if args.n is None or args.m is None:
             return _usage_error(f"--kind {args.kind} needs --n and --m")
-        stream = enumerate_lattice_words(args.n, args.m, max_cells=args.max_cells)
-        if args.kind == "paths":
-            stream = (word_to_path(word) for word in stream)
+        enumerator = enumerate_lattice_words if args.kind == "words" else enumerate_ballot_paths
+        stream = enumerator(args.n, args.m, max_cells=args.max_cells)
     else:
         if args.shape:
             try:
@@ -300,7 +328,7 @@ def _run_cases(runner, case_args, jobs: int) -> list:
     return [runner(arg) for arg in case_args]
 
 
-def _suite_cases(suite: str, args):
+def _suite_cases(suite: str, args, poset: LabeledPoset | None):
     ceiling = SUITE_HARD_CAPS[suite]
     cells = min(args.max_cells or SUITE_DEFAULT_CELLS[suite], ceiling)
     if suite in ("theorem21", "sulanke"):
@@ -318,9 +346,7 @@ def _suite_cases(suite: str, args):
         return labels, _case_eq33, shapes
     # ordergf
     terms = args.series_terms
-    if args.poset:
-        with open(args.poset, "r", encoding="utf-8") as handle:
-            poset = LabeledPoset.from_json(handle.read())
+    if poset is not None:
         return [f"poset p={poset.size} terms={terms}"], _case_ordergf, [
             (poset.to_dict(), terms)
         ]
@@ -338,11 +364,17 @@ def _suite_cases(suite: str, args):
 
 def cmd_verify(args) -> int:
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    cache = _open_cache(args, args._config)
+    poset = None
+    if args.poset and "ordergf" in suites:
+        try:
+            with open(args.poset, "r", encoding="utf-8") as handle:
+                poset = LabeledPoset.from_json(handle.read())
+        except ValueError as exc:
+            return _usage_error(f"invalid poset file {args.poset}: {exc}")
     all_passed = True
     first_failure = None
     for suite in suites:
-        labels, runner, case_args = _suite_cases(suite, args)
+        labels, runner, case_args = _suite_cases(suite, args, poset)
         reports = _run_cases(runner, case_args, args.jobs)
         passed = 0
         for label, report in zip(labels, reports):
@@ -354,17 +386,7 @@ def cmd_verify(args) -> int:
                 print(f"{suite} {label}: FAIL ({report.detail()})")
                 if first_failure is None:
                     first_failure = f"{suite} {label}: {report.detail()}"
-        if suite == "eq33":
-            for parts, report in zip(case_args, reports):
-                if report:
-                    poset = column_strict_ferrers_poset(Partition(parts))
-                    cache.put(
-                        wpoly_key(poset),
-                        report.left,
-                        flags={"matches_tableau_polynomial": True},
-                    )
         print(f"suite {suite}: {passed}/{len(labels)} passed")
-    cache.save()
     if not all_passed:
         print(f"first counterexample: {first_failure}")
         return EXIT_COUNTEREXAMPLE
@@ -400,23 +422,12 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    config = _load_config(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    args._config = config
-    # explicit flags win over config values, which win over built-in defaults
-    if getattr(args, "max_cells", None) is None and "max_cells" in config:
-        args.max_cells = int(config["max_cells"])
-    if hasattr(args, "jobs"):
-        args.jobs = args.jobs or int(config.get("jobs", 1))
-    if hasattr(args, "series_terms") and args.series_terms is None:
-        args.series_terms = int(config.get("series_terms", 10))
-    if hasattr(args, "format"):
-        args.format = args.format or config.get("format", "plain")
+    _apply_config(parser, args)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

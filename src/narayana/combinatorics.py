@@ -156,6 +156,11 @@ class LatticeWord:
         return ",".join(str(s) for s in self.symbols)
 
 
+def _relabel(symbols: Sequence[int], m: int) -> tuple[int, ...]:
+    """Mirror the alphabet 1..m; maps words to paths and paths back to words."""
+    return tuple(m - s + 1 for s in symbols)
+
+
 @dataclass(frozen=True)
 class BallotPath:
     """Unit-step path from the origin to (n, ..., n) in m coordinates whose
@@ -329,7 +334,7 @@ def enumerate_ballot_paths(
         raise ValueError("n and m must be nonnegative")
     _check_budget(n * m, max_cells)
     for symbols in _ballot_sequences((n,) * m):
-        yield BallotPath(tuple(m - s + 1 for s in symbols), n, m)
+        yield BallotPath(_relabel(symbols, m), n, m)
 
 
 def enumerate_syt(

@@ -7,6 +7,7 @@ memory stays proportional to the polynomial degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import Sequence
 
 from .combinatorics import Partition, _ballot_sequences, _check_budget, syt_count_hook
@@ -58,6 +59,16 @@ def compare_polynomials(
     return compare_sequences(description, left.coefficients, right.coefficients)
 
 
+def _tally(quotas: Sequence[int], compare) -> list[int]:
+    """Count the ballot sequences with the given symbol quotas by how many
+    adjacent pairs (a, b) satisfy ``compare(a, b)``; entry k of the result
+    counts the words with exactly k such pairs."""
+    tallies = [0] * max(1, sum(quotas))
+    for word in _ballot_sequences(quotas):
+        tallies[sum(map(compare, word, word[1:]))] += 1
+    return tallies
+
+
 def narayana_polynomial(n: int, m: int, max_cells: int | None = None) -> IntPolynomial:
     """Descent generating function over all lattice words with m symbols,
     each used n times.
@@ -69,14 +80,7 @@ def narayana_polynomial(n: int, m: int, max_cells: int | None = None) -> IntPoly
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     _check_budget(n * m, max_cells)
-    tallies = [0] * max(1, n * m)
-    for word in _ballot_sequences((n,) * m):
-        descents = 0
-        for a, b in zip(word, word[1:]):
-            if a > b:
-                descents += 1
-        tallies[descents] += 1
-    return IntPolynomial(tallies)
+    return IntPolynomial(_tally((n,) * m, gt))
 
 
 def syt_descent_polynomial(shape: Partition, max_cells: int | None = None) -> IntPolynomial:
@@ -86,20 +90,8 @@ def syt_descent_polynomial(shape: Partition, max_cells: int | None = None) -> In
     their successor in a strictly lower row.
     """
     _check_budget(shape.cells, max_cells)
-    p = shape.cells
-    parts = shape.parts
-    tallies = [0] * max(1, p)
-    for row_word in _ballot_sequences(parts):
-        rows: list[list[int]] = [[] for _ in parts]
-        for entry, row in enumerate(row_word, start=1):
-            rows[row - 1].append(entry)
-        row_of = [0] * (p + 1)
-        for index, row in enumerate(rows, start=1):
-            for entry in row:
-                row_of[entry] = index
-        descents = sum(1 for k in range(1, p) if row_of[k + 1] > row_of[k])
-        tallies[descents] += 1
-    return IntPolynomial(tallies)
+    # k+1 lies in a strictly lower row than k exactly when the row word ascends at k
+    return IntPolynomial(_tally(shape.parts, lt))
 
 
 def rectangular_catalan(n: int, m: int) -> int:
@@ -125,27 +117,16 @@ def verify_sulanke_equidistribution(
     """Check Sulanke's equidistribution on ballot paths: the ascent generating
     function equals the descent generating function shifted down by m-1.
 
-    Paths are produced by relabeling each enumerated word (symbol s becomes
-    the step in coordinate m-s+1) and both statistics are tallied on the
-    step sequences.
+    The path of a word mirrors its alphabet (see ``word_to_path``), so path
+    ascents are word descents and path descents are word ascents; both are
+    tallied on the words directly. Word ascents are also the tableau
+    descents of the m-by-n rectangle, so this is a named view of the same
+    tallies as :func:`verify_tableau_identity`, not independent evidence.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     _check_budget(n * m, max_cells)
-    size = max(1, n * m)
-    ascent_tallies = [0] * size
-    descent_tallies = [0] * size
-    for word in _ballot_sequences((n,) * m):
-        steps = [m - s + 1 for s in word]
-        ascents = 0
-        descents = 0
-        for a, b in zip(steps, steps[1:]):
-            if a < b:
-                ascents += 1
-            elif a > b:
-                descents += 1
-        ascent_tallies[ascents] += 1
-        descent_tallies[descents] += 1
-    left = IntPolynomial(ascent_tallies).shift(max(m - 1, 0))
-    right = IntPolynomial(descent_tallies)
+    quotas = (n,) * m
+    left = IntPolynomial(_tally(quotas, gt)).shift(max(m - 1, 0))
+    right = IntPolynomial(_tally(quotas, lt))
     return compare_polynomials(f"path equidistribution n={n} m={m}", left, right)

@@ -220,12 +220,39 @@ def _exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return quotient
 
 
+def _remainder_chain(a: IntPolynomial, b: IntPolynomial) -> list[IntPolynomial]:
+    """Signed remainder sequence a, b, -rem(a, b), ... of two nonzero
+    polynomials with deg a >= deg b, up to its last nonzero element, which is
+    a gcd of a and b up to a constant factor.
+
+    Each remainder is divided by its (positive) content; along with the
+    sign-corrected pseudo-remainder this only ever rescales by positive
+    factors, which leaves sign variation counts intact. For (p, p') this is
+    the Sturm chain of p, and by the generalized Sturm theorem it counts the
+    distinct real roots of p even when p is not square-free.
+    """
+    chain = [a, b]
+    while chain[-1].degree > 0:
+        x, y = chain[-2], chain[-1]
+        raw = _strip(_pseudo_remainder(x.coefficients, y.coefficients))
+        if not raw:
+            break
+        multiplier_negative = (
+            y.leading_coefficient < 0 and (x.degree - y.degree + 1) % 2 == 1
+        )
+        rem = raw if multiplier_negative else [-c for c in raw]
+        g = gcd(*rem)
+        chain.append(IntPolynomial(c // g for c in rem))
+    return chain
+
+
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor over the integers, normalized to a primitive
     polynomial with positive leading coefficient times the content gcd.
 
-    Uses a primitive pseudo-remainder sequence, which keeps coefficient
-    growth in check without any rational arithmetic.
+    Read off the last element of the remainder chain, whose content-reduced
+    pseudo-remainders keep coefficient growth in check without any rational
+    arithmetic.
     """
     if a.is_zero and b.is_zero:
         return IntPolynomial()
@@ -233,19 +260,9 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         return b.primitive() * b.content()
     if b.is_zero:
         return a.primitive() * a.content()
-    content_gcd = gcd(a.content(), b.content())
-    x = list(a.primitive().coefficients)
-    y = list(b.primitive().coefficients)
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        r = _strip(_pseudo_remainder(x, y))
-        g = 0
-        for c in r:
-            g = gcd(g, c)
-        x, y = y, [c // g for c in r] if g else []
-    result = IntPolynomial(x).primitive()
-    return result * content_gcd
+    if a.degree < b.degree:
+        a, b = b, a
+    return _remainder_chain(a, b)[-1].primitive() * gcd(a.content(), b.content())
 
 
 def square_free_part(p: IntPolynomial) -> IntPolynomial:
@@ -261,30 +278,6 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
     g = poly_gcd(p, p.derivative())
     quotient = IntPolynomial(_exact_div(p.coefficients, g.coefficients))
     return quotient.primitive()
-
-
-def _sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
-    """Signed remainder chain of a square-free polynomial of degree >= 1.
-
-    Each remainder is divided by its (positive) content; along with the
-    sign-corrected pseudo-remainder this only ever rescales by positive
-    factors, which leaves sign variation counts intact.
-    """
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        a, b = chain[-2], chain[-1]
-        raw = _strip(_pseudo_remainder(a.coefficients, b.coefficients))
-        if not raw:
-            raise ValueError("polynomial is not square-free")
-        multiplier_negative = (
-            b.leading_coefficient < 0 and (a.degree - b.degree + 1) % 2 == 1
-        )
-        rem = list(raw) if multiplier_negative else [-c for c in raw]
-        g = 0
-        for c in rem:
-            g = gcd(g, c)
-        chain.append(IntPolynomial(tuple(c // g for c in rem)))
-    return chain
 
 
 def _sign(x: Rational) -> int:
@@ -333,9 +326,9 @@ def sturm_real_root_count(
         raise ValueError("lower endpoint exceeds upper endpoint")
     if p.degree == 0:
         return 0
-    if poly_gcd(p, p.derivative()).degree > 0:
+    chain = _remainder_chain(p, p.derivative())
+    if chain[-1].degree > 0:
         raise ValueError("input is not square-free; take square_free_part first")
-    chain = _sturm_chain(p)
     at_lower = (
         _variations_at_infinity(chain, positive=False)
         if lower is None
@@ -353,8 +346,11 @@ def sturm_real_root_count(
 class RealRootCertificate:
     """Sturm-count evidence for or against every root being real.
 
-    The verdict compares the number of distinct real roots of the square-free
-    part against its degree; those agree exactly when all roots are real.
+    The verdict compares the number of distinct real roots against the degree
+    of the square-free part; those agree exactly when all roots are real. The
+    two variation counts are those of the remainder chain of ``p`` and ``p'``
+    at minus and plus infinity; their difference is the distinct real root
+    count. For square-free ``p`` that chain is the Sturm chain of ``p``.
     """
 
     real_rooted: bool
@@ -370,19 +366,24 @@ class RealRootCertificate:
 def is_real_rooted(p: IntPolynomial) -> RealRootCertificate:
     """Certify whether every complex root of ``p`` is real.
 
-    Multiplicities cannot hide roots: the test runs on the square-free part.
-    Constant polynomials are trivially real-rooted.
+    One remainder chain of ``p`` and ``p'`` gives both counts that are
+    compared: its last element is gcd(p, p'), whose degree is what the
+    multiplicities add beyond the square-free part, and its sign variations
+    count the distinct real roots. Constant polynomials are trivially
+    real-rooted.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no root certificate")
-    q = square_free_part(p)
-    if q.degree <= 0:
+    if p.degree == 0:
         return RealRootCertificate(True, 0, 0, 0, 0)
-    chain = _sturm_chain(q)
+    chain = _remainder_chain(p, p.derivative())
+    square_free_degree = p.degree - chain[-1].degree
     at_neg = _variations_at_infinity(chain, positive=False)
     at_pos = _variations_at_infinity(chain, positive=True)
     count = at_neg - at_pos
-    return RealRootCertificate(count == q.degree, q.degree, count, at_neg, at_pos)
+    return RealRootCertificate(
+        count == square_free_degree, square_free_degree, count, at_neg, at_pos
+    )
 
 
 def _warn_on_negative(coefficients: Sequence[int], check: str) -> None:

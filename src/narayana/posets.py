@@ -392,15 +392,11 @@ def verify_order_gf(poset: LabeledPoset, terms: int = 10) -> IdentityReport:
     0 <= k <= terms, exactly.
     """
     w = eulerian_polynomial(poset)
-    p = poset.size
     brute = tuple(
         order_polynomial_value(poset, k + 1, method="brute") for k in range(terms + 1)
     )
-    series = tuple(
-        sum(c * comb(k - j + p, p) for j, c in enumerate(w.coefficients))
-        for k in range(terms + 1)
-    )
-    return compare_sequences(f"order series p={p}", brute, series)
+    series = tuple(_series_value(poset, k + 1, w) for k in range(terms + 1))
+    return compare_sequences(f"order series p={poset.size}", brute, series)
 
 
 def verify_ferrers_eulerian_identity(

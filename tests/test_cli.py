@@ -4,8 +4,7 @@ import os
 import pytest
 
 from narayana.cli import main
-from narayana.posets import LabeledPoset, column_strict_ferrers_poset
-from narayana.combinatorics import Partition
+from narayana.posets import LabeledPoset
 
 
 def run(capsys, *argv):
@@ -96,6 +95,18 @@ class TestCache:
         assert code == 0
         assert out.strip() == "1 1"
         assert "count check" in err
+
+    def test_cache_hit_leaves_the_file_untouched(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        run(capsys, "poly", "--n", "3", "--m", "2", "--cache", str(cache))
+        before = os.stat(cache)
+        content = cache.read_bytes()
+        code, out, _ = run(capsys, "poly", "--n", "3", "--m", "2", "--cache", str(cache))
+        assert code == 0
+        assert out.strip() == "1 3 1"
+        after = os.stat(cache)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert cache.read_bytes() == content
 
     def test_environment_variable_sets_path(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "env-cache.json"
@@ -195,20 +206,14 @@ class TestVerify:
         assert code == 0
         assert serial == parallel
 
-    def test_eq33_writes_wpoly_cache_entries(self, capsys, tmp_path):
+    def test_verify_writes_no_cache_file(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
         code, _, _ = run(
             capsys,
             "verify", "--suite", "eq33", "--max-cells", "3", "--cache", str(cache),
         )
         assert code == 0
-        stored = json.loads(cache.read_text())
-        assert any(key.startswith("wpoly:") for key in stored)
-        from narayana.cache import wpoly_key
-
-        poset = column_strict_ferrers_poset(Partition((2, 1)))
-        entry = stored[wpoly_key(poset)]
-        assert entry["coefficients"] == ["0", "2"]
+        assert not cache.exists()
 
     def test_ordergf_accepts_poset_file(self, capsys, tmp_path):
         poset = LabeledPoset(3, ((1, 2), (1, 3)), (2, 1, 3))
@@ -220,6 +225,23 @@ class TestVerify:
         )
         assert code == 0
         assert "poset p=3" in out
+
+    @pytest.mark.parametrize(
+        "content",
+        [json.dumps({"size": 3, "covers": [[1, 2], [2, 3], [3, 1]], "labels": [1, 2, 3]}),
+         "not json at all"],
+        ids=["cyclic", "not-json"],
+    )
+    @pytest.mark.parametrize("suite", ["ordergf", "all"])
+    def test_bad_poset_file_is_a_usage_error(self, capsys, tmp_path, content, suite):
+        path = tmp_path / "poset.json"
+        path.write_text(content)
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--max-cells", "2", "--poset", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_poset_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -265,6 +287,10 @@ class TestAnalyze:
         assert code == 2
 
 
+POLY = ["poly", "--n", "1", "--m", "1", "--no-cache"]
+VERIFY = ["verify", "--suite", "ordergf", "--no-cache"]
+
+
 class TestConfigAndUsage:
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -296,5 +322,31 @@ class TestConfigAndUsage:
         assert cache.exists()
 
     def test_unreadable_config_fails_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--config", str(tmp_path / "nope.json"), "poly", "--n", "1", "--m", "1"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ("not json", POLY),
+            ("[1, 2]", POLY),
+            ('{"max_cells": -1}', VERIFY),
+            ('{"max_cells": 2.5}', POLY),
+            ('{"jobs": 0}', VERIFY),
+            ('{"jobs": "two"}', VERIFY),
+            ('{"series_terms": -1}', VERIFY),
+            ('{"format": "xml"}', POLY),
+            ('{"format": "csv"}', ["analyze", "--coeffs", "1,1"]),
+            ('{"cache": 5}', POLY),
+        ],
+    )
+    def test_bad_config_is_a_usage_error(self, capsys, tmp_path, config, argv):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--config", str(path), *argv])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"config {path}" in err

@@ -284,3 +284,33 @@ def test_sturm_additivity_deterministic_sample():
             sturm_real_root_count(q, cuts[2], None),
         ]
         assert sum(pieces) == sturm_real_root_count(q)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.fractions(-6, 6, max_denominator=3), st.integers(1, 3)),
+        max_size=4,
+        unique_by=lambda pair: pair[0],
+    ),
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 6)), max_size=2, unique=True),
+    st.integers(-5, 5).filter(bool),
+)
+def test_certificate_matches_a_known_root_structure(roots, quadratics, scale):
+    # distinct rational roots with multiplicities, times distinct monic
+    # quadratics t^2 + b t + c whose c exceeds b^2/4, so they have no real root
+    poly = IntPolynomial([scale])
+    for root, multiplicity in roots:
+        for _ in range(multiplicity):
+            poly = poly * IntPolynomial([-root.numerator, root.denominator])
+    for b, excess in quadratics:
+        poly = poly * IntPolynomial([b * b // 4 + excess, b, 1])
+    certificate = is_real_rooted(poly)
+    assert certificate.real_rooted == (not quadratics)
+    assert certificate.square_free_degree == len(roots) + 2 * len(quadratics)
+    assert certificate.distinct_real_roots == len(roots)
+    assert (
+        certificate.variations_at_negative_infinity
+        - certificate.variations_at_positive_infinity
+        == len(roots)
+    )
