@@ -331,6 +331,9 @@ def _run_cases(runner, case_args, jobs: int) -> list:
 def _suite_cases(suite: str, args, poset: LabeledPoset | None):
     ceiling = SUITE_HARD_CAPS[suite]
     cells = min(args.max_cells or SUITE_DEFAULT_CELLS[suite], ceiling)
+    sweeps = suite != "ordergf" or poset is None
+    if sweeps and args.max_cells is not None and args.max_cells > ceiling:
+        print(f"note: suite {suite} sweeps up to {ceiling} cells (its cap)", file=sys.stderr)
     if suite in ("theorem21", "sulanke"):
         pairs = _sweep_pairs(cells)
         labels = [f"n={n} m={m}" for n, m in pairs]

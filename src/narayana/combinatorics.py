@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 DEFAULT_MAX_CELLS = 22
@@ -351,20 +351,22 @@ def enumerate_syt(
         yield StandardTableau(tuple(tuple(row) for row in rows))
 
 
+def _hooks(shape: Partition) -> list[int]:
+    """Hook length of every cell of the shape, row by row."""
+    conjugate = shape.conjugate().parts
+    return [
+        row_length - j + conjugate[j] - i - 1
+        for i, row_length in enumerate(shape.parts)
+        for j in range(row_length)
+    ]
+
+
 def syt_count_hook(shape: Partition) -> int:
     """Number of standard fillings of the shape, by the hook length formula.
 
     Exact integer; serves as the counting oracle against enumeration.
     """
-    parts = shape.parts
-    if not parts:
-        return 1
-    conjugate = shape.conjugate().parts
-    hook_product = 1
-    for i, row_length in enumerate(parts, start=1):
-        for j in range(1, row_length + 1):
-            hook_product *= row_length - j + conjugate[j - 1] - i + 1
-    return factorial(shape.cells) // hook_product
+    return factorial(shape.cells) // prod(_hooks(shape))
 
 
 def enumerate_partitions(total: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -1,10 +1,11 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from narayana.cli import main
-from narayana.posets import LabeledPoset
+from narayana.posets import LabeledPoset, chain_poset
 
 
 def run(capsys, *argv):
@@ -60,6 +61,18 @@ class TestPoly:
         )
         assert code == 0
         assert out.strip() == "1"
+
+    def test_above_the_default_budget(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "poly", "--n", "8", "--m", "4", "--max-cells", "32", "--no-cache",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["degree"] == 21
+        assert sum(int(c) for c in payload["coefficients"]) == int(payload["catalan"])
+        assert payload["real_rooted"] is True
 
 
 class TestCache:
@@ -193,6 +206,36 @@ class TestVerify:
         assert code == 0
         for suite in ("theorem21", "sulanke", "eq33", "ordergf"):
             assert f"suite {suite}:" in out
+
+    def test_clamped_ceiling_is_noted_on_stderr_only(self, capsys):
+        argv = ("verify", "--suite", "all", "--max-cells", "10", "--no-cache")
+        code, out, err = run(capsys, *argv)
+        golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+        stored = next(entry for entry in golden if tuple(entry["argv"]) == argv)
+        assert (code, out) == (stored["code"], stored["stdout"])
+        assert err.splitlines() == ["note: suite ordergf sweeps up to 8 cells (its cap)"]
+
+    def test_clamped_config_ceiling_is_noted(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_cells": 9}))
+        code, out, err = run(
+            capsys,
+            "--config", str(config), "verify", "--suite", "ordergf", "--series-terms", "2",
+        )
+        assert code == 0
+        assert "suite ordergf: 67/67 passed" in out
+        assert err.splitlines() == ["note: suite ordergf sweeps up to 8 cells (its cap)"]
+
+    def test_unclamped_ceiling_prints_no_note(self, capsys, tmp_path):
+        poset = tmp_path / "poset.json"
+        poset.write_text(chain_poset(2).to_json())
+        for argv in (
+            ("verify", "--suite", "eq33", "--max-cells", "3"),
+            ("verify", "--suite", "ordergf", "--max-cells", "20", "--poset", str(poset)),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 0
+            assert err == ""
 
     def test_parallel_jobs_match_serial(self, capsys):
         code, serial, _ = run(

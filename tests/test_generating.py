@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from narayana.combinatorics import Partition, enumerate_lattice_words
+from narayana.combinatorics import Partition, enumerate_lattice_words, enumerate_partitions
 from narayana.generating import (
+    _descent_closed_form,
     compare_sequences,
     narayana_polynomial,
     rectangular_catalan,
@@ -87,3 +89,27 @@ def test_length_mismatch_is_detected():
     report = compare_sequences("demo", (1, 2), (1, 2, 4))
     assert not report
     assert report.mismatch_index == 2
+
+
+@given(st.sampled_from([(n, m) for n in range(15) for m in range(15) if n * m <= 14]))
+def test_closed_form_matches_word_descent_counts(pair):
+    n, m = pair
+    counts = [0] * max(1, n * m)
+    for word in enumerate_lattice_words(n, m):
+        counts[word.descent_count()] += 1
+    assert narayana_polynomial(n, m) == IntPolynomial(counts)
+
+
+@given(st.integers(0, 10).flatmap(lambda total: st.sampled_from(list(enumerate_partitions(total)))))
+def test_closed_form_matches_tableau_enumeration(shape):
+    assert IntPolynomial(_descent_closed_form(shape)) == syt_descent_polynomial(shape)
+
+
+def test_closed_form_is_palindromic_and_counts_tableaux_up_to_64_cells():
+    for n in range(65):
+        for m in range(65):
+            if n * m > 64:
+                continue
+            coeffs = narayana_polynomial(n, m, max_cells=n * m).coefficients
+            assert coeffs == tuple(reversed(coeffs)), (n, m)
+            assert sum(coeffs) == rectangular_catalan(n, m), (n, m)
