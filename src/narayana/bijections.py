@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .combinatorics import BallotPath, LatticeWord, Partition, StandardTableau, _relabel
+from .combinatorics import (BallotPath, LatticeWord, Partition, StandardTableau, _relabel,
+                            _rows_from_word)
 
 
 def word_to_tableau(word: LatticeWord) -> StandardTableau:
@@ -19,10 +20,7 @@ def word_to_tableau(word: LatticeWord) -> StandardTableau:
     The result is a standard filling of the m-by-n rectangle: row i lists,
     left to right, where the first, second, ... occurrence of i sits.
     """
-    rows: list[list[int]] = [[] for _ in range(word.m)]
-    for position, symbol in enumerate(word.symbols, start=1):
-        rows[symbol - 1].append(position)
-    return StandardTableau(tuple(tuple(row) for row in rows if row))
+    return StandardTableau(_rows_from_word(word.symbols, word.m))
 
 
 def tableau_to_word(tableau: StandardTableau) -> LatticeWord:
@@ -34,13 +32,7 @@ def tableau_to_word(tableau: StandardTableau) -> LatticeWord:
     parts = tableau.shape.parts
     if parts and not tableau.shape.is_rectangular():
         raise ValueError(f"word readout needs a rectangular shape, got ({tableau.shape})")
-    n = parts[0] if parts else 0
-    m = len(parts)
-    symbols = [0] * (n * m)
-    for row_index, row in enumerate(tableau.rows, start=1):
-        for entry in row:
-            symbols[entry - 1] = row_index
-    return LatticeWord(tuple(symbols), n, m)
+    return LatticeWord(tableau._row_word, parts[0] if parts else 0, len(parts))
 
 
 def word_to_path(word: LatticeWord) -> BallotPath:

@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .cache import CACHE_ENV_VAR, DEFAULT_CACHE_PATH, PolynomialCache, narayana_key
 from .combinatorics import (
+    DEFAULT_MAX_CELLS,
     BudgetExceededError,
     Partition,
     enumerate_ballot_paths,
@@ -35,6 +36,7 @@ from .generating import (
 )
 from .polynomials import IntPolynomial, is_log_concave, is_real_rooted, is_unimodal, newton_inequalities_hold
 from .posets import (
+    DEFAULT_MAX_BRUTE_ELEMENTS, DEFAULT_MAX_EXTENSION_ELEMENTS,
     LabeledPoset,
     antichain_poset,
     column_strict_ferrers_poset,
@@ -49,7 +51,9 @@ EXIT_BUDGET = 3
 
 SUITE_NAMES = ("theorem21", "sulanke", "eq33", "ordergf")
 SUITE_DEFAULT_CELLS = {"theorem21": 16, "sulanke": 16, "eq33": 10, "ordergf": 7}
-SUITE_HARD_CAPS = {"theorem21": 22, "sulanke": 22, "eq33": 12, "ordergf": 8}
+# each suite stops at the default budget of the engine it enumerates with
+SUITE_HARD_CAPS = {"theorem21": DEFAULT_MAX_CELLS, "sulanke": DEFAULT_MAX_CELLS,
+                   "eq33": DEFAULT_MAX_EXTENSION_ELEMENTS, "ordergf": DEFAULT_MAX_BRUTE_ELEMENTS}
 
 FORMAT_CHOICES = {"poly": ("plain", "json", "csv"), "analyze": ("plain", "json")}
 
@@ -312,13 +316,13 @@ def _case_sulanke(pair: tuple[int, int]):
     return verify_sulanke_equidistribution(n, m, max_cells=n * m)
 
 
-def _case_eq33(parts: tuple[int, ...]):
-    return verify_ferrers_eulerian_identity(Partition(parts))
+def _case_eq33(shape: Partition):
+    return verify_ferrers_eulerian_identity(shape)
 
 
-def _case_ordergf(payload: tuple[dict, int]):
-    description, terms = payload
-    return verify_order_gf(LabeledPoset.from_dict(description), terms=terms)
+def _case_ordergf(payload: tuple[LabeledPoset, int]):
+    poset, terms = payload
+    return verify_order_gf(poset, terms=terms)
 
 
 def _run_cases(runner, case_args, jobs: int) -> list:
@@ -339,36 +343,23 @@ def _suite_cases(suite: str, args, poset: LabeledPoset | None):
         labels = [f"n={n} m={m}" for n, m in pairs]
         runner = _case_theorem21 if suite == "theorem21" else _case_sulanke
         return labels, runner, pairs
-    if suite == "eq33":
-        shapes = [
-            shape.parts
-            for total in range(1, cells + 1)
-            for shape in enumerate_partitions(total)
-        ]
-        labels = [f"shape={','.join(map(str, parts))}" for parts in shapes]
-        return labels, _case_eq33, shapes
-    # ordergf
     terms = args.series_terms
-    if poset is not None:
-        return [f"poset p={poset.size} terms={terms}"], _case_ordergf, [
-            (poset.to_dict(), terms)
-        ]
-    cases = []
-    labels = []
-    for total in range(1, cells + 1):
-        for shape in enumerate_partitions(total):
-            poset = column_strict_ferrers_poset(shape)
-            cases.append((poset.to_dict(), terms))
-            labels.append(f"shape={shape} terms={terms}")
-    cases.append((antichain_poset(3).to_dict(), terms))
-    labels.append(f"antichain p=3 terms={terms}")
-    return labels, _case_ordergf, cases
+    if suite == "ordergf" and poset is not None:
+        return [f"poset p={poset.size} terms={terms}"], _case_ordergf, [(poset, terms)]
+    shapes = [shape for total in range(1, cells + 1) for shape in enumerate_partitions(total)]
+    if suite == "eq33":
+        return [f"shape={shape}" for shape in shapes], _case_eq33, shapes
+    labels = [f"shape={shape} terms={terms}" for shape in shapes] + [f"antichain p=3 terms={terms}"]
+    posets = [column_strict_ferrers_poset(shape) for shape in shapes] + [antichain_poset(3)]
+    return labels, _case_ordergf, [(each, terms) for each in posets]
 
 
 def cmd_verify(args) -> int:
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     poset = None
-    if args.poset and "ordergf" in suites:
+    if args.poset and "ordergf" not in suites:
+        return _usage_error("--poset applies only to --suite ordergf or all")
+    if args.poset:
         try:
             with open(args.poset, "r", encoding="utf-8") as handle:
                 poset = LabeledPoset.from_json(handle.read())

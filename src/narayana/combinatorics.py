@@ -3,14 +3,16 @@
 All objects are immutable values validated on construction, safe to share
 across threads. The enumerators walk a quota-and-dominance prefix tree that
 extends a word one symbol at a time, so only valid objects are ever
-materialized and output order is lexicographic.
+materialized and output order is lexicographic. Words, paths and tableaux
+are checked by the one ballot scan that mirrors that generator: a word
+directly, a path as its mirrored word, and a tableau as its row word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import factorial, prod
+from operator import gt, lt
 from typing import Iterator, Sequence
 
 DEFAULT_MAX_CELLS = 22
@@ -85,30 +87,39 @@ class Partition:
         return ",".join(str(part) for part in self.parts)
 
 
-def _scan_word(symbols: Sequence[int], n: int, m: int) -> str | None:
-    """Check the quota and prefix dominance conditions.
-
-    Returns None when valid, otherwise a human readable reason. Symbols
-    outside the alphabet raise immediately, naming the offending position.
-    """
+def _word_quotas(n: int, m: int) -> tuple[int, ...]:
+    """Symbol quotas of the words of weight (n, m): each of 1..m occurs n times."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    counts = [0] * (m + 1)
+    return (n,) * m
+
+
+def _scan_ballot(symbols: Sequence[int], quotas: Sequence[int]) -> tuple[int, int] | None:
+    """The check that mirrors ``_ballot_sequences(quotas)``: None for a ballot
+    sequence, else (position, symbol) of the shortest prefix holding more
+    symbol's than (symbol-1)'s, or (0, smallest symbol off its quota). Symbols
+    outside 1..len(quotas) raise a ValueError naming the position."""
+    k = len(quotas)
+    # counts[0] exceeds every count, so symbol 1 is never dominated
+    counts = [len(symbols) + 1] + [0] * k
     for position, symbol in enumerate(symbols, start=1):
-        if not isinstance(symbol, int) or symbol < 1 or symbol > m:
+        if not (isinstance(symbol, int) and 0 < symbol <= k):
             raise ValueError(
-                f"symbol {symbol!r} at position {position} is outside the alphabet 1..{m}"
+                f"symbol {symbol!r} at position {position} is outside the alphabet 1..{k}"
             )
-        counts[symbol] += 1
-        if symbol > 1 and counts[symbol] > counts[symbol - 1]:
-            return (
-                f"prefix of length {position} holds more {symbol}'s "
-                f"than {symbol - 1}'s"
-            )
-    for symbol in range(1, m + 1):
-        if counts[symbol] != n:
-            return f"symbol {symbol} occurs {counts[symbol]} times, expected {n}"
+        count = counts[symbol] + 1
+        if count > counts[symbol - 1]:
+            return position, symbol
+        counts[symbol] = count
+    for symbol, quota in enumerate(quotas, start=1):
+        if counts[symbol] != quota:
+            return 0, symbol
     return None
+
+
+def _pair_count(word: Sequence[int], compare) -> int:
+    """Number of adjacent pairs (a, b) of the word with ``compare(a, b)``."""
+    return sum(map(compare, word, word[1:]))
 
 
 def is_lattice_word(symbols: Sequence[int], n: int, m: int) -> bool:
@@ -117,7 +128,7 @@ def is_lattice_word(symbols: Sequence[int], n: int, m: int) -> bool:
 
     Symbols outside 1..m raise a ValueError naming the position.
     """
-    return _scan_word(tuple(symbols), n, m) is None
+    return _scan_ballot(tuple(symbols), _word_quotas(n, m)) is None
 
 
 @dataclass(frozen=True)
@@ -131,8 +142,13 @@ class LatticeWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "symbols", tuple(self.symbols))
-        reason = _scan_word(self.symbols, self.n, self.m)
-        if reason is not None:
+        failure = _scan_ballot(self.symbols, _word_quotas(self.n, self.m))
+        if failure is not None:
+            position, symbol = failure
+            if position:
+                reason = f"prefix of length {position} holds more {symbol}'s than {symbol - 1}'s"
+            else:
+                reason = f"symbol {symbol} occurs {self.symbols.count(symbol)} times, expected {self.n}"
             raise ValueError(f"not a lattice word: {reason}")
 
     @classmethod
@@ -145,10 +161,10 @@ class LatticeWord:
         return cls(symbols, n, m)
 
     def ascent_count(self) -> int:
-        return sum(1 for a, b in zip(self.symbols, self.symbols[1:]) if a < b)
+        return _pair_count(self.symbols, lt)
 
     def descent_count(self) -> int:
-        return sum(1 for a, b in zip(self.symbols, self.symbols[1:]) if a > b)
+        return _pair_count(self.symbols, gt)
 
     def __str__(self) -> str:
         if self.m <= 9:
@@ -157,14 +173,15 @@ class LatticeWord:
 
 
 def _relabel(symbols: Sequence[int], m: int) -> tuple[int, ...]:
-    """Mirror the alphabet 1..m; maps words to paths and paths back to words."""
-    return tuple(m - s + 1 for s in symbols)
+    """Mirror the alphabet 1..m (s to m+1-s); maps words to paths and back."""
+    return tuple(map((m + 1).__sub__, symbols))
 
 
 @dataclass(frozen=True)
 class BallotPath:
     """Unit-step path from the origin to (n, ..., n) in m coordinates whose
-    every prefix keeps coordinate values weakly increasing left to right."""
+    every prefix keeps coordinate values weakly increasing left to right;
+    equivalently, its mirrored word is a lattice word."""
 
     steps: tuple[int, ...]
     n: int
@@ -172,31 +189,29 @@ class BallotPath:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
-        if self.n < 0 or self.m < 0:
-            raise ValueError("n and m must be nonnegative")
-        counts = [0] * (self.m + 2)
-        for position, step in enumerate(self.steps, start=1):
-            if not isinstance(step, int) or step < 1 or step > self.m:
-                raise ValueError(
-                    f"step {step!r} at position {position} is outside 1..{self.m}"
-                )
-            counts[step] += 1
-            if step < self.m and counts[step] > counts[step + 1]:
+        quotas = _word_quotas(self.n, self.m)
+        try:
+            # the mirror of a step outside 1..m, an int or not, is outside too
+            failure = _scan_ballot(_relabel(self.steps, self.m), quotas)
+        except ValueError:
+            raise ValueError(f"steps must be integers in 1..{self.m}, got {self.steps}") from None
+        if failure is not None:
+            position, symbol = failure
+            step = self.m + 1 - symbol
+            if position:
                 raise ValueError(
                     f"prefix of length {position} pushes coordinate {step} above "
                     f"coordinate {step + 1}"
                 )
-        for step in range(1, self.m + 1):
-            if counts[step] != self.n:
-                raise ValueError(
-                    f"step {step} occurs {counts[step]} times, expected {self.n}"
-                )
+            raise ValueError(
+                f"step {step} occurs {self.steps.count(step)} times, expected {self.n}"
+            )
 
     def ascent_count(self) -> int:
-        return sum(1 for a, b in zip(self.steps, self.steps[1:]) if a < b)
+        return _pair_count(self.steps, lt)
 
     def descent_count(self) -> int:
-        return sum(1 for a, b in zip(self.steps, self.steps[1:]) if a > b)
+        return _pair_count(self.steps, gt)
 
     def __str__(self) -> str:
         if self.m <= 9:
@@ -207,29 +222,40 @@ class BallotPath:
 @dataclass(frozen=True)
 class StandardTableau:
     """Filling of a partition diagram by 1..p, strictly increasing along every
-    row and down every column."""
+    row and down every column; kept with its row word, the row of each entry."""
 
     rows: tuple[tuple[int, ...], ...]
+    _row_word: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        lengths = tuple(len(row) for row in rows)
-        if any(length == 0 for length in lengths):
+        lengths = tuple(map(len, rows))
+        if 0 in lengths:
             raise ValueError("empty rows are not allowed")
-        if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
+        if any(map(lt, lengths, lengths[1:])):
             raise ValueError(f"row lengths must be weakly decreasing, got {lengths}")
         p = sum(lengths)
-        entries = sorted(entry for row in rows for entry in row)
-        if entries != list(range(1, p + 1)):
-            raise ValueError(f"entries must be exactly 1..{p}")
+        row_word = [0] * p
         for i, row in enumerate(rows, start=1):
-            if any(a >= b for a, b in zip(row, row[1:])):
+            if not all(map(lt, row, row[1:])):
                 raise ValueError(f"row {i} is not strictly increasing: {row}")
-        for j in range(lengths[0] if lengths else 0):
-            column = [row[j] for row in rows if len(row) > j]
-            if any(a >= b for a, b in zip(column, column[1:])):
-                raise ValueError(f"column {j + 1} is not strictly increasing: {column}")
+            if not (0 < row[0] and row[-1] <= p):
+                raise ValueError(f"entries must be exactly 1..{p}")
+            for entry in row:
+                row_word[entry - 1] = i
+        if 0 in row_word:
+            raise ValueError(f"entries must be exactly 1..{p}")
+        # with increasing rows, the columns increase exactly when the row word
+        # is a ballot sequence; a failing entry ends row i at column j while
+        # row i-1 holds fewer than j smaller entries
+        failure = _scan_ballot(row_word, lengths)
+        if failure is not None:
+            entry, i = failure
+            j = rows[i - 1].index(entry) + 1
+            column = [row[j - 1] for row in rows if len(row) >= j]
+            raise ValueError(f"column {j} is not strictly increasing: {column}")
+        object.__setattr__(self, "_row_word", tuple(row_word))
 
     @property
     def shape(self) -> Partition:
@@ -237,33 +263,32 @@ class StandardTableau:
 
     @property
     def size(self) -> int:
-        return sum(len(row) for row in self.rows)
-
-    @cached_property
-    def _row_index(self) -> dict[int, int]:
-        return {
-            entry: i for i, row in enumerate(self.rows, start=1) for entry in row
-        }
+        return len(self._row_word)
 
     def row_of(self, entry: int) -> int:
         """1-indexed row containing the entry."""
-        try:
-            return self._row_index[entry]
-        except KeyError:
-            raise ValueError(f"entry {entry} is not in the tableau") from None
+        if isinstance(entry, int) and 0 < entry <= self.size:
+            return self._row_word[entry - 1]
+        raise ValueError(f"entry {entry} is not in the tableau")
 
     def descent_set(self) -> frozenset[int]:
         """Entries i whose successor i+1 sits in a strictly lower row."""
-        rows_by_entry = self._row_index
-        return frozenset(
-            i for i in range(1, self.size) if rows_by_entry[i + 1] > rows_by_entry[i]
-        )
+        word = self._row_word
+        return frozenset(i for i in range(1, len(word)) if word[i - 1] < word[i])
 
     def descent_count(self) -> int:
-        return len(self.descent_set())
+        return _pair_count(self._row_word, lt)
 
     def __str__(self) -> str:
         return ";".join(",".join(str(entry) for entry in row) for row in self.rows)
+
+
+def _rows_from_word(row_word: Sequence[int], row_count: int) -> tuple[tuple[int, ...], ...]:
+    """Row i lists the positions of i in the row word; empty rows are dropped."""
+    rows: list[list[int]] = [[] for _ in range(row_count)]
+    for entry, row in enumerate(row_word, start=1):
+        rows[row - 1].append(entry)
+    return tuple(tuple(row) for row in rows if row)
 
 
 def _ballot_sequences(quotas: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -318,10 +343,9 @@ def enumerate_lattice_words(
     Callers may partition work by first symbol: all words sharing a first
     symbol form a contiguous block of the output.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
+    quotas = _word_quotas(n, m)
     _check_budget(n * m, max_cells)
-    for symbols in _ballot_sequences((n,) * m):
+    for symbols in _ballot_sequences(quotas):
         yield LatticeWord(symbols, n, m)
 
 
@@ -330,10 +354,9 @@ def enumerate_ballot_paths(
 ) -> Iterator[BallotPath]:
     """Yield every ballot path to (n, ..., n) once; the order mirrors the
     lexicographic word order under the symbol/step relabeling."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
+    quotas = _word_quotas(n, m)
     _check_budget(n * m, max_cells)
-    for symbols in _ballot_sequences((n,) * m):
+    for symbols in _ballot_sequences(quotas):
         yield BallotPath(_relabel(symbols, m), n, m)
 
 
@@ -343,12 +366,8 @@ def enumerate_syt(
     """Yield every standard filling of the shape once, ordered
     lexicographically by the sequence of row indices of 1, 2, ..., p."""
     _check_budget(shape.cells, max_cells)
-    parts = shape.parts
-    for row_word in _ballot_sequences(parts):
-        rows: list[list[int]] = [[] for _ in parts]
-        for entry, row in enumerate(row_word, start=1):
-            rows[row - 1].append(entry)
-        yield StandardTableau(tuple(tuple(row) for row in rows))
+    for row_word in _ballot_sequences(shape.parts):
+        yield StandardTableau(_rows_from_word(row_word, shape.rows))
 
 
 def _hooks(shape: Partition) -> list[int]:

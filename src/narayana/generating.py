@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import perm, prod
 from operator import gt, lt
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .combinatorics import Partition, _ballot_sequences, _check_budget, _hooks, syt_count_hook
+from .combinatorics import (Partition, _ballot_sequences, _check_budget, _hooks, _pair_count,
+                            _word_quotas, syt_count_hook)
 from .polynomials import IntPolynomial
 
 
@@ -65,13 +66,13 @@ def compare_polynomials(
     return compare_sequences(description, left.coefficients, right.coefficients)
 
 
-def _tally(quotas: Sequence[int], compare) -> list[int]:
-    """Count the ballot sequences with the given symbol quotas by how many
-    adjacent pairs (a, b) satisfy ``compare(a, b)``; entry k of the result
-    counts the words with exactly k such pairs."""
-    tallies = [0] * max(1, sum(quotas))
-    for word in _ballot_sequences(quotas):
-        tallies[sum(map(compare, word, word[1:]))] += 1
+def _tally(words: Iterable[Sequence[int]], length: int, compare) -> list[int]:
+    """Count the words of the given length by how many adjacent pairs (a, b)
+    satisfy ``compare(a, b)``; entry k of the result counts the words with
+    exactly k such pairs."""
+    tallies = [0] * max(1, length)
+    for word in words:
+        tallies[_pair_count(word, compare)] += 1
     return tallies
 
 
@@ -134,7 +135,7 @@ def syt_descent_polynomial(shape: Partition, max_cells: int | None = None) -> In
     """
     _check_budget(shape.cells, max_cells)
     # k+1 lies in a strictly lower row than k exactly when the row word ascends at k
-    return IntPolynomial(_tally(shape.parts, lt))
+    return IntPolynomial(_tally(_ballot_sequences(shape.parts), shape.cells, lt))
 
 
 def rectangular_catalan(n: int, m: int) -> int:
@@ -170,10 +171,8 @@ def verify_sulanke_equidistribution(
     independent check: it compares the closed form of
     :func:`narayana_polynomial` against tableau enumeration.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
+    quotas = _word_quotas(n, m)
     _check_budget(n * m, max_cells)
-    quotas = (n,) * m
-    left = IntPolynomial(_tally(quotas, gt)).shift(max(m - 1, 0))
-    right = IntPolynomial(_tally(quotas, lt))
+    left = IntPolynomial(_tally(_ballot_sequences(quotas), n * m, gt)).shift(max(m - 1, 0))
+    right = IntPolynomial(_tally(_ballot_sequences(quotas), n * m, lt))
     return compare_polynomials(f"path equidistribution n={n} m={m}", left, right)

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import comb
+from operator import gt
 from typing import Iterator, Sequence
 
 from .combinatorics import BudgetExceededError, Partition
-from .generating import IdentityReport, compare_sequences, syt_descent_polynomial
+from .generating import IdentityReport, _tally, compare_sequences, syt_descent_polynomial
 from .polynomials import IntPolynomial
 
 DEFAULT_MAX_EXTENSION_ELEMENTS = 12
@@ -51,25 +52,29 @@ class LabeledPoset:
                 raise ValueError(f"cover ({a},{b}) relates an element to itself")
         if sorted(labels) != list(range(1, self.size + 1)):
             raise ValueError(f"labels must be a permutation of 1..{self.size}")
-        self._check_acyclic()
+        if len(self._topological_order) < self.size:
+            raise ValueError("cover relations contain a cycle")
 
-    def _check_acyclic(self) -> None:
+    @cached_property
+    def _topological_order(self) -> tuple[int, ...]:
+        """Smallest-first topological order of the elements; elements on or
+        above a cycle never become ready, so then it is shorter than size."""
         indegree = [0] * (self.size + 1)
         above: list[list[int]] = [[] for _ in range(self.size + 1)]
         for a, b in self.covers:
             indegree[b] += 1
             above[a].append(b)
         ready = [e for e in range(1, self.size + 1) if indegree[e] == 0]
-        seen = 0
+        heapify(ready)
+        order: list[int] = []
         while ready:
-            element = ready.pop()
-            seen += 1
+            element = heappop(ready)
+            order.append(element)
             for other in above[element]:
                 indegree[other] -= 1
                 if indegree[other] == 0:
-                    ready.append(other)
-        if seen != self.size:
-            raise ValueError("cover relations contain a cycle")
+                    heappush(ready, other)
+        return tuple(order)
 
     @classmethod
     def with_identity_labels(
@@ -274,11 +279,7 @@ def eulerian_polynomial(
     For an antichain this is the classical Eulerian polynomial of the
     symmetric group, whatever the labeling.
     """
-    tallies = [0] * max(1, poset.size)
-    for pi in jordan_holder_set(poset, max_elements):
-        descents = sum(1 for a, b in zip(pi, pi[1:]) if a > b)
-        tallies[descents] += 1
-    return IntPolynomial(tallies)
+    return IntPolynomial(_tally(jordan_holder_set(poset, max_elements), poset.size, gt))
 
 
 def _assignment_count(poset: LabeledPoset, n: int) -> int:
@@ -291,22 +292,7 @@ def _assignment_count(poset: LabeledPoset, n: int) -> int:
         return 1
     if n <= 0:
         return 0
-    indegree = [0] * (p + 1)
-    above: list[list[int]] = [[] for _ in range(p + 1)]
-    for a, b in poset.covers:
-        indegree[b] += 1
-        above[a].append(b)
-    order: list[int] = []
-    ready = [e for e in range(1, p + 1) if indegree[e] == 0]
-    heapify(ready)
-    while ready:
-        element = heappop(ready)
-        order.append(element)
-        for other in above[element]:
-            indegree[other] -= 1
-            if indegree[other] == 0:
-                heappush(ready, other)
-    position = {element: idx for idx, element in enumerate(order)}
+    position = {element: idx for idx, element in enumerate(poset._topological_order)}
     bounds: list[list[tuple[int, int]]] = [[] for _ in range(p)]
     has_dependent = [False] * p
     labels = poset.labels

@@ -286,6 +286,15 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("suite", ["theorem21", "sulanke", "eq33"])
+    def test_poset_outside_ordergf_is_a_usage_error(self, capsys, tmp_path, suite):
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--poset", str(tmp_path / "nope.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --poset applies only to --suite ordergf or all\n"
+
     def test_missing_poset_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

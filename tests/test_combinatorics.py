@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from narayana.combinatorics import (
     enumerate_syt,
     is_lattice_word,
     syt_count_hook,
+    _relabel,
 )
 
 SAMPLE_WORD = "121113223233"
@@ -136,6 +138,11 @@ class TestBallotPath:
         with pytest.raises(ValueError):
             BallotPath((2, 2), 1, 2)
 
+    @pytest.mark.parametrize("steps", [(2, 3), (0, 1), (2, 1.0), (2, "1")])
+    def test_steps_outside_the_coordinates(self, steps):
+        with pytest.raises(ValueError, match=r"1\.\.2"):
+            BallotPath(steps, 1, 2)
+
     def test_statistics_swap_against_word(self):
         path = BallotPath((3, 2, 3, 3, 3, 1, 2, 2, 1, 2, 1, 1), 4, 3)
         assert path.ascent_count() == 3
@@ -178,6 +185,12 @@ class TestStandardTableau:
             StandardTableau(((1, 2), (3, 5)))
         with pytest.raises(ValueError, match="weakly decreasing"):
             StandardTableau(((1,), (2, 3)))
+
+    def test_column_error_names_the_first_failing_column(self):
+        with pytest.raises(ValueError, match=r"column 3 is not strictly increasing: \[6, 5\]"):
+            StandardTableau(((1, 2, 6), (3, 4, 5)))
+        with pytest.raises(ValueError, match="column 2"):
+            StandardTableau(((1, 4), (2, 3), (5,)))
 
 
 class TestEnumeration:
@@ -288,3 +301,58 @@ def test_enumeration_count_matches_hook_oracle(weight):
     words = list(enumerate_lattice_words(n, m))
     assert len(words) == syt_count_hook(Partition.rectangle(n, m))
     assert len(set(words)) == len(words)
+
+
+def _brute_standard(rows):
+    """Rows and columns strictly increase, checked cell by cell."""
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if j + 1 < len(row) and not entry < row[j + 1]:
+                return False
+            if i + 1 < len(rows) and j < len(rows[i + 1]) and not entry < rows[i + 1][j]:
+                return False
+    return True
+
+
+@given(st.data())
+def test_tableau_check_matches_brute_row_and_column_check(data):
+    shape = data.draw(partitions(max_cells=7))
+    entries = iter(data.draw(st.permutations(range(1, shape.cells + 1))))
+    rows = tuple(tuple(next(entries) for _ in range(part)) for part in shape.parts)
+    try:
+        StandardTableau(rows)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _brute_standard(rows)
+
+
+@pytest.mark.parametrize(
+    "n,m", [(n, m) for n in range(1, 9) for m in range(1, 9) if n * m <= 8]
+)
+def test_path_check_matches_word_check_on_every_word(n, m):
+    # every word over 1..m of length nm while that is small, otherwise every
+    # arrangement of the quotas (n, ..., n)
+    if m ** (n * m) <= 6561:
+        words = product(range(1, m + 1), repeat=n * m)
+    else:
+        words = set(permutations([s for s in range(1, m + 1) for _ in range(n)]))
+    for word in words:
+        try:
+            BallotPath(_relabel(word, m), n, m)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == is_lattice_word(word, n, m), word
+
+
+def test_row_of_and_descent_set_agree_with_the_row_word():
+    for tableau in enumerate_syt(Partition((3, 2, 1))):
+        row_word = [0] * tableau.size
+        for index, row in enumerate(tableau.rows, start=1):
+            for entry in row:
+                row_word[entry - 1] = index
+        assert [tableau.row_of(e) for e in range(1, tableau.size + 1)] == row_word
+        ascents = {i for i in range(1, tableau.size) if row_word[i - 1] < row_word[i]}
+        assert tableau.descent_set() == frozenset(ascents)
+        assert tableau.descent_count() == len(ascents)
