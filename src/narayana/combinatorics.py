@@ -19,14 +19,17 @@ DEFAULT_MAX_CELLS = 22
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed its configured size cap."""
+    """Raised when an input exceeds its configured size cap: the cell cap of
+    the enumerators and of ``narayana_polynomial`` (which enumerates nothing;
+    there the cap bounds the degree handed to the certifier), or an element
+    cap of the poset engines."""
 
 
 def _check_budget(cells: int, max_cells: int | None) -> None:
     cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
     if cells > cap:
         raise BudgetExceededError(
-            f"{cells} cells exceed the enumeration cap of {cap} (override with max_cells)"
+            f"{cells} cells exceed the cell cap of {cap} (override with max_cells)"
         )
 
 

@@ -3,8 +3,10 @@
 Coefficients are arbitrary-precision Python integers stored densely, low
 degree first. Real-root counting runs on Sturm sequences built from integer
 pseudo-remainders that are only ever rescaled by positive factors, so sign
-patterns are exact; evaluations at rational points use ``Fraction``. No
-floating point enters any certification path.
+patterns are exact; a chain is evaluated at a rational point a/b by integer
+Horner on a and b. A palindromic polynomial of degree d is certified through
+a polynomial of degree floor(d/2) in t + 1/t, with the same certificate as
+the plain chain. No floating point enters any certification path.
 """
 
 from __future__ import annotations
@@ -303,8 +305,23 @@ def _variations_at_infinity(chain: Sequence[IntPolynomial], positive: bool) -> i
     return _variations(signs)
 
 
+def _sign_at(coefficients: Sequence[int], numerator: int, denominator: int) -> int:
+    """Sign of q(a/b) for q with the given coefficients and b > 0.
+
+    Integer Horner on b**deg(q) * q(a/b) = sum c_k a^k b^(deg q - k), which has
+    the sign of q(a/b) because b > 0; no ``Fraction`` is built.
+    """
+    acc = 0
+    scale = 1
+    for c in reversed(coefficients):
+        acc = acc * numerator + c * scale
+        scale *= denominator
+    return _sign(acc)
+
+
 def _variations_at_point(chain: Sequence[IntPolynomial], point: Rational) -> int:
-    return _variations(_sign(q(point)) for q in chain)
+    numerator, denominator = point.numerator, point.denominator
+    return _variations(_sign_at(q.coefficients, numerator, denominator) for q in chain)
 
 
 def sturm_real_root_count(
@@ -351,6 +368,12 @@ class RealRootCertificate:
     two variation counts are those of the remainder chain of ``p`` and ``p'``
     at minus and plus infinity; their difference is the distinct real root
     count. For square-free ``p`` that chain is the Sturm chain of ``p``.
+
+    ``is_real_rooted`` may accept a palindromic ``p`` without building that
+    chain (see there); the five fields are then still the ones the chain of
+    ``p`` gives, because for real-rooted ``p`` they are forced: the chain has
+    at most ``square_free_degree + 1`` elements, so its variations are
+    ``square_free_degree`` at minus infinity and 0 at plus infinity.
     """
 
     real_rooted: bool
@@ -363,15 +386,9 @@ class RealRootCertificate:
         return self.real_rooted
 
 
-def is_real_rooted(p: IntPolynomial) -> RealRootCertificate:
-    """Certify whether every complex root of ``p`` is real.
-
-    One remainder chain of ``p`` and ``p'`` gives both counts that are
-    compared: its last element is gcd(p, p'), whose degree is what the
-    multiplicities add beyond the square-free part, and its sign variations
-    count the distinct real roots. Constant polynomials are trivially
-    real-rooted.
-    """
+def _plain_certificate(p: IntPolynomial) -> RealRootCertificate:
+    """The certificate read off one remainder chain of ``p`` and ``p'``, as
+    described on ``is_real_rooted``."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no root certificate")
     if p.degree == 0:
@@ -384,6 +401,82 @@ def is_real_rooted(p: IntPolynomial) -> RealRootCertificate:
     return RealRootCertificate(
         count == square_free_degree, square_free_degree, count, at_neg, at_pos
     )
+
+
+def _half_degree(coefficients: Sequence[int]) -> list[int]:
+    """q of degree h with p(t) = t**h * q(t + 1/t), for palindromic p of
+    degree 2h.
+
+    Built from the Dickson polynomials D_j(s) = t**j + t**-j at s = t + 1/t,
+    D_0 = 2, D_1 = s, D_(j+1) = s D_j - D_(j-1), as
+    q = a_h + sum_j a_(h+j) D_j, in O(h**2) integer operations.
+    """
+    h = (len(coefficients) - 1) // 2
+    q = [coefficients[h]] + [0] * h
+    previous, current = [2], [0, 1]
+    for j in range(1, h + 1):
+        a = coefficients[h + j]
+        for i, c in enumerate(current):
+            q[i] += a * c
+        following = [0] + current
+        for i, c in enumerate(previous):
+            following[i] -= c
+        previous, current = current, following
+    return q
+
+
+def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate | None:
+    """The certificate of a real-rooted palindromic p of degree d >= 2,
+    found at half the degree, or None when this route cannot certify it.
+
+    For odd d, p = (1 + t) p1; otherwise p1 = p. With p1 = t**h q(t + 1/t),
+    each root s of q gives the roots t, 1/t of t**2 - s t + 1, which are real
+    exactly when s is real and |s| >= 2, and coincide (at t = -1 or 1) exactly
+    when s = -2 or 2. So p is real-rooted when q has h distinct real roots
+    (which makes it square-free), none in (-2, 2), and then p has
+    2h - [q(-2) = 0] - [q(2) = 0] + [d odd and q(-2) != 0] distinct roots.
+    The chain of q counts its roots in (-2, 2] as V(-2) - V(2). None (q has
+    a repeated or non-real root, or one in (-2, 2)) leaves the decision to
+    the plain chain.
+    """
+    odd = len(coefficients) % 2 == 0
+    q = IntPolynomial(_half_degree(_exact_div(coefficients, (1, 1)) if odd else coefficients))
+    h = q.degree
+    chain = _remainder_chain(q, q.derivative())
+    # h distinct real roots make q square-free, so that needs no check of its own
+    if _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True) != h:
+        return None
+    root_at_minus_two = q(-2) == 0
+    root_at_two = q(2) == 0
+    if _variations_at_point(chain, -2) - _variations_at_point(chain, 2) != root_at_two:
+        return None
+    square_free_degree = 2 * h - root_at_minus_two - root_at_two + (odd and not root_at_minus_two)
+    return RealRootCertificate(True, square_free_degree, square_free_degree, square_free_degree, 0)
+
+
+def is_real_rooted(p: IntPolynomial) -> RealRootCertificate:
+    """Certify whether every complex root of ``p`` is real.
+
+    One remainder chain of ``p`` and ``p'`` gives both counts that are
+    compared: its last element is gcd(p, p'), whose degree is what the
+    multiplicities add beyond the square-free part, and its sign variations
+    count the distinct real roots. Constant polynomials are trivially
+    real-rooted.
+
+    A palindromic ``p`` (coefficients equal to their reverse) of degree
+    d >= 2 is tried first at half the degree: after dividing out 1 + t when
+    d is odd, p = t**h q(t + 1/t) with deg q = h = floor(d/2), and one chain
+    of ``q`` and ``q'`` with its variations at -infinity, -2, 2 and +infinity
+    accepts ``p`` when q has h simple real roots, none in (-2, 2). Every other
+    input, palindromic or not, gets the chain of ``p``. Either way the
+    certificate equals the one that chain gives, field by field.
+    """
+    coefficients = p.coefficients
+    if p.degree >= 2 and coefficients == coefficients[::-1]:
+        certificate = _palindromic_certificate(coefficients)
+        if certificate is not None:
+            return certificate
+    return _plain_certificate(p)
 
 
 def _warn_on_negative(coefficients: Sequence[int], check: str) -> None:

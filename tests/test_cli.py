@@ -74,6 +74,17 @@ class TestPoly:
         assert sum(int(c) for c in payload["coefficients"]) == int(payload["catalan"])
         assert payload["real_rooted"] is True
 
+    def test_degree_81_certifies(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "poly", "--n", "10", "--m", "10", "--max-cells", "100",
+            "--format", "json", "--no-cache",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["degree"] == 81
+        assert payload["real_rooted"] is True
+
 
 class TestCache:
     def test_cached_and_fresh_results_are_identical(self, capsys, tmp_path):

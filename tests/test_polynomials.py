@@ -4,8 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from narayana.generating import narayana_polynomial
 from narayana.polynomials import (
     IntPolynomial,
+    _palindromic_certificate,
+    _plain_certificate,
+    _sign_at,
     is_log_concave,
     is_real_rooted,
     is_unimodal,
@@ -314,3 +318,80 @@ def test_certificate_matches_a_known_root_structure(roots, quadratics, scale):
         - certificate.variations_at_positive_infinity
         == len(roots)
     )
+
+
+@settings(max_examples=200)
+@given(
+    polynomials(max_degree=6, bound=30),
+    st.fractions(-8, 8, max_denominator=12),
+    st.booleans(),
+)
+def test_sign_at_matches_fraction_evaluation(p, point, make_root):
+    if make_root:
+        # the point becomes a root, possibly a repeated one
+        p = p * IntPolynomial([-point.numerator, point.denominator])
+    expected = p(point)
+    sign = (expected > 0) - (expected < 0)
+    assert _sign_at(p.coefficients, point.numerator, point.denominator) == sign
+
+
+# palindromic factors with real roots: (a t + 1)(t + a), 1 + t and (t - 1)^2;
+# and others: t^2 + b t + 1 with |b| < 2 (a pair on the unit circle), and
+# c + e t + f t^2 + e t^3 + c t^4
+_real_rooted_palindromes = st.one_of(
+    st.integers(-5, 5).filter(bool).map(lambda a: IntPolynomial([a, a * a + 1, a])),
+    st.just(IntPolynomial([1, 1])),
+    st.just(IntPolynomial([1, -2, 1])),
+)
+_other_palindromes = st.one_of(
+    st.integers(-1, 1).map(lambda b: IntPolynomial([1, b, 1])),
+    st.tuples(st.integers(-6, 6).filter(bool), st.integers(-9, 9), st.integers(-12, 12)).map(
+        lambda c: IntPolynomial([c[0], c[1], c[2], c[1], c[0]])
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_real_rooted_palindromes, min_size=1, max_size=6, unique=True),
+    st.lists(_other_palindromes, max_size=2),
+    st.booleans(),
+    st.integers(-4, 4).filter(bool),
+)
+def test_palindromic_certificate_equals_the_plain_chain(real, other, squared, scale):
+    poly = IntPolynomial([scale])
+    for factor in real + other:
+        poly = poly * factor
+    if squared:
+        poly = poly * poly
+    assert poly.coefficients == poly.coefficients[::-1]
+    assert is_real_rooted(poly) == _plain_certificate(poly)
+
+
+def test_palindromic_route_accepts_and_declines():
+    t_plus_one = P(1, 1)
+    # accepted: simple roots of q below -2, at 2 (from (t - 1)^2), at -2
+    # (from (1 + t)^2, and from (1 + t)^3 of odd degree)
+    for p in (
+        narayana_polynomial(4, 3),
+        P(1, -2, 1) * P(2, 5, 2),
+        t_plus_one * t_plus_one,
+        t_plus_one * t_plus_one * t_plus_one,
+        P(3, 10, 3) * t_plus_one,
+    ):
+        certificate = _palindromic_certificate(p.coefficients)
+        assert certificate is not None and certificate.real_rooted
+        assert certificate == _plain_certificate(p)
+    # declined: q not square-free, a root of q in (-2, 2), a non-real root
+    for p in (P(1, 2, 1) * P(1, 2, 1), P(1, 1, 1), P(1, 2, 1, 2, 1), P(1, 0, 3, 0, 1)):
+        assert _palindromic_certificate(p.coefficients) is None
+        assert is_real_rooted(p) == _plain_certificate(p)
+
+
+def test_every_narayana_polynomial_up_to_100_cells_certifies():
+    for n in range(1, 101):
+        for m in range(1, 100 // n + 1):
+            poly = narayana_polynomial(n, m, max_cells=100)
+            certificate = is_real_rooted(poly)
+            assert certificate.real_rooted, (n, m)
+            assert certificate.distinct_real_roots == poly.degree, (n, m)
