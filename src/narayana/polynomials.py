@@ -3,10 +3,10 @@
 Coefficients are arbitrary-precision Python integers stored densely, low
 degree first. Real-root counting runs on Sturm sequences built from integer
 pseudo-remainders that are only ever rescaled by positive factors, so sign
-patterns are exact; a chain is evaluated at a rational point a/b by integer
-Horner on a and b. A palindromic polynomial of degree d is certified through
-a polynomial of degree floor(d/2) in t + 1/t, with the same certificate as
-the plain chain. No floating point enters any certification path.
+patterns are exact; evaluations at rational points use ``Fraction``. A
+palindromic polynomial of degree d is certified through a polynomial of
+degree floor(d/2) in t + 1/t, with the same certificate as the plain chain.
+No floating point enters any certification path.
 """
 
 from __future__ import annotations
@@ -305,23 +305,8 @@ def _variations_at_infinity(chain: Sequence[IntPolynomial], positive: bool) -> i
     return _variations(signs)
 
 
-def _sign_at(coefficients: Sequence[int], numerator: int, denominator: int) -> int:
-    """Sign of q(a/b) for q with the given coefficients and b > 0.
-
-    Integer Horner on b**deg(q) * q(a/b) = sum c_k a^k b^(deg q - k), which has
-    the sign of q(a/b) because b > 0; no ``Fraction`` is built.
-    """
-    acc = 0
-    scale = 1
-    for c in reversed(coefficients):
-        acc = acc * numerator + c * scale
-        scale *= denominator
-    return _sign(acc)
-
-
 def _variations_at_point(chain: Sequence[IntPolynomial], point: Rational) -> int:
-    numerator, denominator = point.numerator, point.denominator
-    return _variations(_sign_at(q.coefficients, numerator, denominator) for q in chain)
+    return _variations(_sign(q(point)) for q in chain)
 
 
 def sturm_real_root_count(

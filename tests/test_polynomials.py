@@ -9,7 +9,6 @@ from narayana.polynomials import (
     IntPolynomial,
     _palindromic_certificate,
     _plain_certificate,
-    _sign_at,
     is_log_concave,
     is_real_rooted,
     is_unimodal,
@@ -318,21 +317,6 @@ def test_certificate_matches_a_known_root_structure(roots, quadratics, scale):
         - certificate.variations_at_positive_infinity
         == len(roots)
     )
-
-
-@settings(max_examples=200)
-@given(
-    polynomials(max_degree=6, bound=30),
-    st.fractions(-8, 8, max_denominator=12),
-    st.booleans(),
-)
-def test_sign_at_matches_fraction_evaluation(p, point, make_root):
-    if make_root:
-        # the point becomes a root, possibly a repeated one
-        p = p * IntPolynomial([-point.numerator, point.denominator])
-    expected = p(point)
-    sign = (expected > 0) - (expected < 0)
-    assert _sign_at(p.coefficients, point.numerator, point.denominator) == sign
 
 
 # palindromic factors with real roots: (a t + 1)(t + a), 1 + t and (t - 1)^2;
