@@ -23,6 +23,7 @@ from .combinatorics import (
     DEFAULT_MAX_CELLS,
     BudgetExceededError,
     Partition,
+    _check_budget,
     enumerate_ballot_paths,
     enumerate_lattice_words,
     enumerate_partitions,
@@ -49,11 +50,14 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-SUITE_NAMES = ("theorem21", "sulanke", "eq33", "ordergf")
-SUITE_DEFAULT_CELLS = {"theorem21": 16, "sulanke": 16, "eq33": 10, "ordergf": 7}
-# each suite stops at the default budget of the engine it enumerates with
-SUITE_HARD_CAPS = {"theorem21": DEFAULT_MAX_CELLS, "sulanke": DEFAULT_MAX_CELLS,
-                   "eq33": DEFAULT_MAX_EXTENSION_ELEMENTS, "ordergf": DEFAULT_MAX_BRUTE_ELEMENTS}
+# suite: (default ceiling, hard cap); each hard cap is the default budget of
+# the engine the suite enumerates with
+SUITES = {
+    "theorem21": (16, DEFAULT_MAX_CELLS),
+    "sulanke": (16, DEFAULT_MAX_CELLS),
+    "eq33": (10, DEFAULT_MAX_EXTENSION_ELEMENTS),
+    "ordergf": (7, DEFAULT_MAX_BRUTE_ELEMENTS),
+}
 
 FORMAT_CHOICES = {"poly": ("plain", "json", "csv"), "analyze": ("plain", "json")}
 
@@ -96,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default plain)",
     )
     poly.add_argument("--max-cells", type=_positive, default=None, dest="max_cells")
-    _add_cache_flags(poly)
+    cache_help = f"cache file (default {DEFAULT_CACHE_PATH}, or ${CACHE_ENV_VAR})"
+    _add_cache_flags(poly, cache_help, "disable persistence")
     poly.set_defaults(func=cmd_poly)
 
     enum = commands.add_parser("enumerate", help="stream objects one per line")
@@ -112,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run exhaustive identity sweeps; nonzero exit on failure"
     )
     verify.add_argument(
-        "--suite", choices=SUITE_NAMES + ("all",), required=True
+        "--suite", choices=(*SUITES, "all"), required=True
     )
     verify.add_argument(
         "--max-cells",
@@ -136,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="JSON poset description; restricts the ordergf suite to that poset",
     )
-    _add_cache_flags(verify)
+    _add_cache_flags(verify, "accepted and ignored (verify keeps no cache)", "accepted and ignored")
     verify.set_defaults(func=cmd_verify)
 
     analyze = commands.add_parser(
@@ -154,16 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_cache_flags(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=None,
-        help=f"cache file (default {DEFAULT_CACHE_PATH}, or ${CACHE_ENV_VAR})",
-    )
-    subparser.add_argument(
-        "--no-cache", action="store_true", dest="no_cache", help="disable persistence"
-    )
+def _add_cache_flags(
+    subparser: argparse.ArgumentParser, cache_help: str, no_cache_help: str
+) -> None:
+    subparser.add_argument("--cache", metavar="PATH", default=None, help=cache_help)
+    subparser.add_argument("--no-cache", action="store_true", dest="no_cache", help=no_cache_help)
 
 
 def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
@@ -231,6 +231,8 @@ def _analysis_flags(poly: IntPolynomial) -> dict:
 
 
 def cmd_poly(args) -> int:
+    # before the hook-length count, which builds the rectangle
+    _check_budget(args.n * args.m, args.max_cells)
     cache = PolynomialCache(args.cache, enabled=not args.no_cache, version=__version__)
     key = narayana_key(args.n, args.m)
     catalan = rectangular_catalan(args.n, args.m)
@@ -285,6 +287,7 @@ def cmd_enumerate(args) -> int:
             except ValueError as exc:
                 return _usage_error(str(exc))
         elif args.n is not None and args.m is not None:
+            _check_budget(args.n * args.m, args.max_cells)
             shape = Partition.rectangle(args.n, args.m)
         else:
             return _usage_error("--kind syt needs --shape or both --n and --m")
@@ -298,64 +301,30 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_pairs(max_cells: int) -> list[tuple[int, int]]:
-    return sorted(
-        (n, m)
-        for n in range(1, max_cells + 1)
-        for m in range(1, max_cells // n + 1)
-    )
-
-
-def _case_theorem21(pair: tuple[int, int]):
-    n, m = pair
-    return verify_tableau_identity(n, m, max_cells=n * m)
-
-
-def _case_sulanke(pair: tuple[int, int]):
-    n, m = pair
-    return verify_sulanke_equidistribution(n, m, max_cells=n * m)
-
-
-def _case_eq33(shape: Partition):
-    return verify_ferrers_eulerian_identity(shape)
-
-
-def _case_ordergf(payload: tuple[LabeledPoset, int]):
-    poset, terms = payload
-    return verify_order_gf(poset, terms=terms)
-
-
-def _run_cases(runner, case_args, jobs: int) -> list:
-    if jobs > 1 and len(case_args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            return list(executor.map(runner, case_args))
-    return [runner(arg) for arg in case_args]
-
-
-def _suite_cases(suite: str, args, poset: LabeledPoset | None):
-    ceiling = SUITE_HARD_CAPS[suite]
-    cells = min(args.max_cells or SUITE_DEFAULT_CELLS[suite], ceiling)
-    sweeps = suite != "ordergf" or poset is None
-    if sweeps and args.max_cells is not None and args.max_cells > ceiling:
-        print(f"note: suite {suite} sweeps up to {ceiling} cells (its cap)", file=sys.stderr)
+def _cases(suite: str, cells: int, terms: int, poset: LabeledPoset | None) -> list[tuple]:
+    """The suite's (label, check, arguments) triples, in output order. Each
+    check is a module-level library function, so a case pickles by reference."""
     if suite in ("theorem21", "sulanke"):
-        pairs = _sweep_pairs(cells)
-        labels = [f"n={n} m={m}" for n, m in pairs]
-        runner = _case_theorem21 if suite == "theorem21" else _case_sulanke
-        return labels, runner, pairs
-    terms = args.series_terms
+        check = verify_tableau_identity if suite == "theorem21" else verify_sulanke_equidistribution
+        return [(f"n={n} m={m}", check, (n, m, n * m))
+                for n in range(1, cells + 1) for m in range(1, cells // n + 1)]
     if suite == "ordergf" and poset is not None:
-        return [f"poset p={poset.size} terms={terms}"], _case_ordergf, [(poset, terms)]
+        return [(f"poset p={poset.size} terms={terms}", verify_order_gf, (poset, terms))]
     shapes = [shape for total in range(1, cells + 1) for shape in enumerate_partitions(total)]
     if suite == "eq33":
-        return [f"shape={shape}" for shape in shapes], _case_eq33, shapes
-    labels = [f"shape={shape} terms={terms}" for shape in shapes] + [f"antichain p=3 terms={terms}"]
-    posets = [column_strict_ferrers_poset(shape) for shape in shapes] + [antichain_poset(3)]
-    return labels, _case_ordergf, [(each, terms) for each in posets]
+        return [(f"shape={shape}", verify_ferrers_eulerian_identity, (shape,)) for shape in shapes]
+    posets = [(f"shape={shape}", column_strict_ferrers_poset(shape)) for shape in shapes]
+    posets.append(("antichain p=3", antichain_poset(3)))
+    return [(f"{name} terms={terms}", verify_order_gf, (each, terms)) for name, each in posets]
+
+
+def _check(case: tuple):
+    _, check, arguments = case
+    return check(*arguments)
 
 
 def cmd_verify(args) -> int:
-    suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     poset = None
     if args.poset and "ordergf" not in suites:
         return _usage_error("--poset applies only to --suite ordergf or all")
@@ -365,23 +334,24 @@ def cmd_verify(args) -> int:
                 poset = LabeledPoset.from_json(handle.read())
         except ValueError as exc:
             return _usage_error(f"invalid poset file {args.poset}: {exc}")
-    all_passed = True
     first_failure = None
     for suite in suites:
-        labels, runner, case_args = _suite_cases(suite, args, poset)
-        reports = _run_cases(runner, case_args, args.jobs)
-        passed = 0
-        for label, report in zip(labels, reports):
-            if report:
-                passed += 1
-                print(f"{suite} {label}: PASS")
-            else:
-                all_passed = False
-                print(f"{suite} {label}: FAIL ({report.detail()})")
-                if first_failure is None:
-                    first_failure = f"{suite} {label}: {report.detail()}"
-        print(f"suite {suite}: {passed}/{len(labels)} passed")
-    if not all_passed:
+        default, cap = SUITES[suite]
+        sweeps = suite != "ordergf" or poset is None
+        if sweeps and args.max_cells is not None and args.max_cells > cap:
+            print(f"note: suite {suite} sweeps up to {cap} cells (its cap)", file=sys.stderr)
+        cases = _cases(suite, min(args.max_cells or default, cap), args.series_terms, poset)
+        if args.jobs > 1 and len(cases) > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as executor:
+                reports = list(executor.map(_check, cases))
+        else:
+            reports = [_check(case) for case in cases]
+        for (label, _, _), report in zip(cases, reports):
+            print(f"{suite} {label}: " + ("PASS" if report else f"FAIL ({report.detail()})"))
+            if not report and first_failure is None:
+                first_failure = f"{suite} {label}: {report.detail()}"
+        print(f"suite {suite}: {sum(map(bool, reports))}/{len(cases)} passed")
+    if first_failure is not None:
         print(f"first counterexample: {first_failure}")
         return EXIT_COUNTEREXAMPLE
     return EXIT_OK
@@ -391,12 +361,10 @@ def cmd_analyze(args) -> int:
     try:
         coefficients = [int(chunk.strip()) for chunk in args.coeffs.split(",")]
     except ValueError:
-        print(f"error: cannot parse coefficient list {args.coeffs!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"cannot parse coefficient list {args.coeffs!r}")
     poly = IntPolynomial(coefficients)
     if poly.is_zero:
-        print("error: the zero polynomial is not analyzable", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("the zero polynomial is not analyzable")
     certificate = is_real_rooted(poly)
     results = {
         "degree": poly.degree,

@@ -346,8 +346,8 @@ def enumerate_lattice_words(
     Callers may partition work by first symbol: all words sharing a first
     symbol form a contiguous block of the output.
     """
-    quotas = _word_quotas(n, m)
     _check_budget(n * m, max_cells)
+    quotas = _word_quotas(n, m)
     for symbols in _ballot_sequences(quotas):
         yield LatticeWord(symbols, n, m)
 
@@ -357,8 +357,8 @@ def enumerate_ballot_paths(
 ) -> Iterator[BallotPath]:
     """Yield every ballot path to (n, ..., n) once; the order mirrors the
     lexicographic word order under the symbol/step relabeling."""
-    quotas = _word_quotas(n, m)
     _check_budget(n * m, max_cells)
+    quotas = _word_quotas(n, m)
     for symbols in _ballot_sequences(quotas):
         yield BallotPath(_relabel(symbols, m), n, m)
 

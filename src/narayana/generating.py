@@ -171,8 +171,8 @@ def verify_sulanke_equidistribution(
     independent check: it compares the closed form of
     :func:`narayana_polynomial` against tableau enumeration.
     """
-    quotas = _word_quotas(n, m)
     _check_budget(n * m, max_cells)
+    quotas = _word_quotas(n, m)
     left = IntPolynomial(_tally(_ballot_sequences(quotas), n * m, gt)).shift(max(m - 1, 0))
     right = IntPolynomial(_tally(_ballot_sequences(quotas), n * m, lt))
     return compare_polynomials(f"path equidistribution n={n} m={m}", left, right)

@@ -512,9 +512,8 @@ def newton_inequalities_hold(p: IntPolynomial) -> bool:
         return True
     a = p.coefficients
     _warn_on_negative(a, "newton_inequalities_hold")
-    for k in range(1, n):
-        lhs = Fraction(a[k] * a[k])
-        rhs = Fraction(a[k - 1] * a[k + 1]) * Fraction(k + 1, k) * Fraction(n - k + 1, n - k)
-        if lhs < rhs:
-            return False
-    return True
+    # both sides times k * (n-k) > 0, so the comparison stays in integers
+    return all(
+        a[k] * a[k] * k * (n - k) >= a[k - 1] * a[k + 1] * (k + 1) * (n - k + 1)
+        for k in range(1, n)
+    )

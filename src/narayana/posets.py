@@ -50,7 +50,8 @@ class LabeledPoset:
                 raise ValueError(f"cover ({a},{b}) is outside 1..{self.size}")
             if a == b:
                 raise ValueError(f"cover ({a},{b}) relates an element to itself")
-        if sorted(labels) != list(range(1, self.size + 1)):
+        # the length check first, so a huge size is rejected before range() is listed
+        if len(labels) != self.size or sorted(labels) != list(range(1, self.size + 1)):
             raise ValueError(f"labels must be a permutation of 1..{self.size}")
         if len(self._topological_order) < self.size:
             raise ValueError("cover relations contain a cycle")

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from narayana.cli import main
+from narayana.generating import IdentityReport
 from narayana.posets import LabeledPoset, chain_poset
 
 
@@ -73,6 +74,13 @@ class TestPoly:
         assert payload["degree"] == 21
         assert sum(int(c) for c in payload["coefficients"]) == int(payload["catalan"])
         assert payload["real_rooted"] is True
+
+    @pytest.mark.parametrize("m", ["3000000", "1000000000000"])
+    def test_oversized_rectangle_hits_the_cap_at_once(self, capsys, m):
+        code, out, err = run(capsys, "poly", "--n", "1", "--m", m, "--no-cache")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_degree_81_certifies(self, capsys):
         code, out, _ = run(
@@ -190,6 +198,15 @@ class TestEnumerate:
         assert code == 2
         assert "needs" in err
 
+    @pytest.mark.parametrize("kind", ["words", "paths", "syt"])
+    def test_oversized_rectangle_hits_the_cap(self, capsys, kind):
+        code, out, err = run(
+            capsys, "enumerate", "--kind", kind, "--n", "1", "--m", "1000000000000"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_shape(self, capsys):
         code, _, err = run(capsys, "enumerate", "--kind", "syt", "--shape", "2,x")
         assert code == 2
@@ -248,17 +265,40 @@ class TestVerify:
             assert code == 0
             assert err == ""
 
-    def test_parallel_jobs_match_serial(self, capsys):
-        code, serial, _ = run(
-            capsys, "verify", "--suite", "eq33", "--max-cells", "5", "--no-cache"
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [("--suite", "eq33", "--max-cells", "5"),
+         ("--suite", "all", "--max-cells", "6"),
+         ("--suite", "ordergf", "--poset", "{poset}")],
+        ids=["eq33", "all", "ordergf-poset"],
+    )
+    def test_parallel_jobs_match_serial(self, capsys, tmp_path, argv):
+        poset = tmp_path / "poset.json"
+        poset.write_text(LabeledPoset(3, ((1, 2), (1, 3)), (2, 1, 3)).to_json())
+        argv = ["verify", *(arg.format(poset=poset) for arg in argv), "--no-cache"]
+        code, serial, serial_err = run(capsys, *argv)
         assert code == 0
-        code, parallel, _ = run(
-            capsys,
-            "verify", "--suite", "eq33", "--max-cells", "5", "--jobs", "2", "--no-cache",
-        )
+        code, parallel, parallel_err = run(capsys, *argv, "--jobs", "2")
         assert code == 0
-        assert serial == parallel
+        assert (serial, serial_err) == (parallel, parallel_err)
+
+    def test_counterexample_exit_code(self, capsys, monkeypatch):
+        def failing(n, m, max_cells=None):
+            return IdentityReport(False, f"fake n={n} m={m}", (1, 2), (1, 3), 1)
+
+        monkeypatch.setattr("narayana.cli.verify_tableau_identity", failing)
+        code, out, _ = run(capsys, "verify", "--suite", "theorem21", "--max-cells", "2")
+        assert code == 1
+        details = {
+            pair: f"fake n={pair[0]} m={pair[1]}: index 1 differs, left=2 right=3; "
+            "left=[1, 2] right=[1, 3]"
+            for pair in ((1, 1), (1, 2), (2, 1))
+        }
+        assert out.splitlines() == [
+            *(f"theorem21 n={n} m={m}: FAIL ({detail})" for (n, m), detail in details.items()),
+            "suite theorem21: 0/3 passed",
+            f"first counterexample: theorem21 n=1 m=1: {details[(1, 1)]}",
+        ]
 
     def test_verify_writes_no_cache_file(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
@@ -283,8 +323,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "content",
         [json.dumps({"size": 3, "covers": [[1, 2], [2, 3], [3, 1]], "labels": [1, 2, 3]}),
-         "not json at all"],
-        ids=["cyclic", "not-json"],
+         "not json at all",
+         json.dumps({"size": 1000000000000, "covers": [], "labels": [1]})],
+        ids=["cyclic", "not-json", "huge-size"],
     )
     @pytest.mark.parametrize("suite", ["ordergf", "all"])
     def test_bad_poset_file_is_a_usage_error(self, capsys, tmp_path, content, suite):

@@ -1,5 +1,7 @@
 import random
+import warnings
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +215,34 @@ def test_newton_examples():
     assert is_log_concave(witness)
     assert not newton_inequalities_hold(witness)
     assert not is_real_rooted(witness)
+
+
+def _newton_by_fractions(a):
+    n = len(a) - 1
+    return all(
+        Fraction(a[k] * a[k])
+        >= Fraction(a[k - 1] * a[k + 1]) * Fraction(k + 1, k) * Fraction(n - k + 1, n - k)
+        for k in range(1, n)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=3, max_size=9).filter(lambda a: a[-1] != 0))
+def test_newton_matches_the_fraction_formula(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert newton_inequalities_hold(IntPolynomial(a)) == _newton_by_fractions(a)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_binomial_rows_meet_newton_with_equality(n):
+    row = [comb(n, k) for k in range(n + 1)]
+    for k in range(1, n):
+        assert row[k] ** 2 * k * (n - k) == row[k - 1] * row[k + 1] * (k + 1) * (n - k + 1)
+    assert newton_inequalities_hold(IntPolynomial(row))
+    for k in range(1, n):
+        lowered = row[:k] + [row[k] - 1] + row[k + 1 :]
+        assert not newton_inequalities_hold(IntPolynomial(lowered)), (n, k)
 
 
 @st.composite
