@@ -6,7 +6,7 @@ identity sweeps), and ``analyze`` (coefficient diagnostics for arbitrary
 input). Every command is deterministic.
 
 Exit codes: 0 success, 1 verification counterexample, 2 usage error,
-3 enumeration budget exceeded.
+3 enumeration budget exceeded (or out of memory).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
@@ -383,6 +384,10 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -391,9 +396,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     _apply_config(parser, args)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

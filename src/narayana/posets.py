@@ -2,9 +2,12 @@
 polynomials, and order polynomials.
 
 A poset is given by cover relations on elements 1..p plus a bijective
-labeling; the full order is the transitive closure. Ferrers posets (cells of
-a partition under the componentwise order) with column-strict labelings are
-the family of main interest.
+labeling; the full order is the transitive closure, built once per poset as
+one bitmask of strictly smaller elements per element. Ferrers posets (cells
+of a partition under the componentwise order) with column-strict labelings
+are the family of main interest.
+Order polynomial values come from assignment search up to
+DEFAULT_MAX_BRUTE_ELEMENTS elements and from the Eulerian series above that.
 """
 
 from __future__ import annotations
@@ -84,26 +87,18 @@ class LabeledPoset:
         return cls(size, tuple(covers), tuple(range(1, size + 1)))
 
     @cached_property
-    def strictly_below(self) -> frozenset[tuple[int, int]]:
-        """All pairs (a, b) with a strictly below b in the generated order."""
-        above: list[set[int]] = [set() for _ in range(self.size + 1)]
-        for a, b in self.covers:
-            above[a].add(b)
-        pairs: set[tuple[int, int]] = set()
-        for start in range(1, self.size + 1):
-            stack = list(above[start])
-            reached: set[int] = set()
-            while stack:
-                element = stack.pop()
-                if element in reached:
-                    continue
-                reached.add(element)
-                stack.extend(above[element])
-            pairs.update((start, other) for other in reached)
-        return frozenset(pairs)
+    def _below(self) -> tuple[int, ...]:
+        """Entry e is the bitmask with bit a set for every a strictly below e
+        (entry 0 is unused). Covers are walked in topological order of their
+        upper element, so each lower element's mask is complete when read."""
+        position = {element: idx for idx, element in enumerate(self._topological_order)}
+        below = [0] * (self.size + 1)
+        for a, b in sorted(self.covers, key=lambda cover: position[cover[1]]):
+            below[b] |= below[a] | 1 << a
+        return tuple(below)
 
     def leq(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.strictly_below
+        return a == b or (a > 0 and 0 < b <= self.size and bool(self._below[b] >> a & 1))
 
     def label_of(self, element: int) -> int:
         return self.labels[element - 1]
@@ -240,9 +235,7 @@ def linear_extensions(
     if p == 0:
         yield ()
         return
-    predecessor_mask = [0] * (p + 1)
-    for a, b in poset.covers:
-        predecessor_mask[b] |= 1 << a
+    below = poset._below
     prefix: list[int] = []
 
     def extend(placed_mask: int) -> Iterator[tuple[int, ...]]:
@@ -253,7 +246,7 @@ def linear_extensions(
             bit = 1 << element
             if placed_mask & bit:
                 continue
-            if predecessor_mask[element] & ~placed_mask:
+            if below[element] & ~placed_mask:
                 continue
             prefix.append(element)
             yield from extend(placed_mask | bit)
@@ -334,41 +327,20 @@ def _series_value(poset: LabeledPoset, n: int, w: IntPolynomial | None = None) -
     return sum(c * comb(k - j + p, p) for j, c in enumerate(w.coefficients))
 
 
-def order_polynomial_value(
-    poset: LabeledPoset,
-    n: int,
-    method: str = "auto",
-    max_brute_elements: int | None = None,
-) -> int:
+def order_polynomial_value(poset: LabeledPoset, n: int) -> int:
     """Number of maps from the elements into {1..n} that weakly drop along
     the order and strictly drop across label inversions.
 
-    ``method`` selects "brute" (assignment search with bound propagation) or
-    "series" (Eulerian numerator expanded against binomials); "auto" uses
-    brute force for small posets and the series beyond that. The two methods
-    are independent and cross-validate each other.
+    Posets of up to DEFAULT_MAX_BRUTE_ELEMENTS elements are counted by
+    assignment search with bound propagation; larger ones by expanding the
+    Eulerian numerator against binomials. The two engines are independent
+    and cross-validate each other in ``verify_order_gf``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap = DEFAULT_MAX_BRUTE_ELEMENTS if max_brute_elements is None else max_brute_elements
-    if method == "auto":
-        method = "brute" if poset.size <= cap else "series"
-    if method == "brute":
-        if poset.size > cap:
-            raise BudgetExceededError(
-                f"poset has {poset.size} elements, brute-force cap is {cap} "
-                f"(override with max_brute_elements)"
-            )
+    if poset.size <= DEFAULT_MAX_BRUTE_ELEMENTS:
         return _assignment_count(poset, n)
-    if method == "series":
-        return _series_value(poset, n)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def order_polynomial_interpolation(poset: LabeledPoset) -> tuple[int, ...]:
-    """Convenience: values at 1..size+1, enough to pin the degree-size
-    polynomial pointwise. No claim beyond the values themselves."""
-    return tuple(order_polynomial_value(poset, k) for k in range(1, poset.size + 2))
+    return _series_value(poset, n)
 
 
 def verify_order_gf(poset: LabeledPoset, terms: int = 10) -> IdentityReport:
@@ -378,10 +350,13 @@ def verify_order_gf(poset: LabeledPoset, terms: int = 10) -> IdentityReport:
     Compares the count at argument k+1 with sum_j w_j * C(k-j+p, p) for
     0 <= k <= terms, exactly.
     """
+    if poset.size > DEFAULT_MAX_BRUTE_ELEMENTS:
+        raise BudgetExceededError(
+            f"poset has {poset.size} elements, brute-force cap is {DEFAULT_MAX_BRUTE_ELEMENTS}"
+        )
     w = eulerian_polynomial(poset)
-    brute = tuple(
-        order_polynomial_value(poset, k + 1, method="brute") for k in range(terms + 1)
-    )
+    # within the cap, order_polynomial_value is the assignment search
+    brute = tuple(order_polynomial_value(poset, k + 1) for k in range(terms + 1))
     series = tuple(_series_value(poset, k + 1, w) for k in range(terms + 1))
     return compare_sequences(f"order series p={poset.size}", brute, series)
 

@@ -6,7 +6,7 @@ import pytest
 
 from narayana.cli import main
 from narayana.generating import IdentityReport
-from narayana.posets import LabeledPoset, chain_poset
+from narayana.posets import LabeledPoset, antichain_poset, chain_poset
 
 
 def run(capsys, *argv):
@@ -81,6 +81,16 @@ class TestPoly:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_of_memory_is_a_budget_error(self, capsys, monkeypatch):
+        def exhausted(n, m):
+            raise MemoryError
+
+        monkeypatch.setattr("narayana.cli.rectangular_catalan", exhausted)
+        code, out, err = run(capsys, "poly", "--n", "1", "--m", "1", "--no-cache")
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory\n"
 
     def test_degree_81_certifies(self, capsys):
         code, out, _ = run(
@@ -320,6 +330,19 @@ class TestVerify:
         assert code == 0
         assert "poset p=3" in out
 
+    def test_oversized_poset_file_hits_the_cap_at_once(self, capsys, tmp_path, monkeypatch):
+        def enumerated(*_):
+            raise AssertionError("linear extensions enumerated past the brute-force cap")
+
+        monkeypatch.setattr("narayana.posets.eulerian_polynomial", enumerated)
+        path = tmp_path / "poset.json"
+        path.write_text(antichain_poset(9).to_json())
+        code, out, err = run(capsys, "verify", "--suite", "ordergf", "--poset", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: poset has 9 elements, brute-force cap is 8\n"
+        assert "max_brute_elements" not in err
+
     @pytest.mark.parametrize(
         "content",
         [json.dumps({"size": 3, "covers": [[1, 2], [2, 3], [3, 1]], "labels": [1, 2, 3]}),
@@ -380,6 +403,16 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["real_rooted"] is True
         assert json.dumps(payload, indent=2, sort_keys=True) == out.strip()
+
+    def test_library_warnings_take_one_line_each(self, capsys):
+        code, out, err = run(capsys, "analyze", "--coeffs", "1,0,-2,0,1")
+        assert code == 0
+        assert "unimodal=false" in out.splitlines()
+        suffix = ": negative coefficients present, so this check does not connect to real-rootedness"
+        assert err.splitlines() == [
+            f"warning: {check}{suffix}"
+            for check in ("is_log_concave", "is_unimodal", "newton_inequalities_hold")
+        ]
 
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "analyze", "--coeffs", "1,a,3")

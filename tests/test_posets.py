@@ -19,10 +19,11 @@ from narayana.posets import (
     is_column_strict,
     jordan_holder_set,
     linear_extensions,
-    order_polynomial_interpolation,
     order_polynomial_value,
     verify_ferrers_eulerian_identity,
     verify_order_gf,
+    _assignment_count,
+    _series_value,
 )
 
 
@@ -51,6 +52,14 @@ class TestLabeledPoset:
         assert diamond.leq(2, 2)
         assert not diamond.leq(2, 3)
         assert not diamond.leq(4, 1)
+        # covers listed out of topological order, with the chain 4 < 3 < 1 < 2
+        chain = LabeledPoset(4, ((3, 1), (1, 2), (4, 3)), (1, 2, 3, 4))
+        assert chain.leq(4, 2)
+        assert chain.leq(3, 2)
+        assert not chain.leq(2, 4)
+        assert not chain.leq(1, 3)
+        # elements outside 1..size are related to nothing but themselves
+        assert not chain.leq(1, -2) and not chain.leq(-1, 2) and not chain.leq(4, 5)
 
     def test_natural_labeling_predicate(self):
         assert chain_poset(4).is_naturally_labeled()
@@ -217,11 +226,13 @@ class TestEulerianPolynomial:
 
 class TestOrderPolynomial:
     def test_chain_with_natural_labels(self):
+        assert [order_polynomial_value(chain_poset(2), n) for n in (1, 2, 3)] == [1, 3, 6]
         assert order_polynomial_value(chain_poset(4), 1) == 1
         # weakly decreasing sequences of length 4 from {1..3}
         assert order_polynomial_value(chain_poset(4), 3) == 15
 
     def test_antichain_is_a_power(self):
+        assert [order_polynomial_value(antichain_poset(2), n) for n in (1, 2, 3)] == [1, 4, 9]
         assert order_polynomial_value(antichain_poset(3), 4) == 64
         assert order_polynomial_value(antichain_poset(5), 2) == 32
 
@@ -247,28 +258,21 @@ class TestOrderPolynomial:
             column_strict_ferrers_poset(Partition((2, 2, 1))),
         ):
             for n in range(0, 7):
-                brute = order_polynomial_value(poset, n, method="brute")
-                series = order_polynomial_value(poset, n, method="series")
-                assert brute == series, (poset.canonical_key(), n)
+                assert _assignment_count(poset, n) == _series_value(poset, n), (
+                    poset.canonical_key(), n,
+                )
 
-    def test_method_validation_and_budget(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            order_polynomial_value(chain_poset(2), 1, method="magic")
-        big = chain_poset(9)
-        with pytest.raises(BudgetExceededError):
-            order_polynomial_value(big, 2, method="brute")
-        # auto falls back to the series route above the brute-force cap
-        assert order_polynomial_value(big, 2) == 10
+    def test_series_above_the_brute_force_cap(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            order_polynomial_value(chain_poset(2), -1)
+        # nine elements is past the brute-force cap, so the series answers
+        assert order_polynomial_value(chain_poset(9), 2) == 10
 
     def test_weakly_increasing_in_n(self):
         poset = column_strict_ferrers_poset(Partition((2, 1)))
         values = [order_polynomial_value(poset, n) for n in range(0, 8)]
         assert values == sorted(values)
         assert all(v <= n ** 3 for n, v in enumerate(values))
-
-    def test_interpolation_values(self):
-        assert order_polynomial_interpolation(antichain_poset(2)) == (1, 4, 9)
-        assert order_polynomial_interpolation(chain_poset(2)) == (1, 3, 6)
 
 
 class TestOrderSeriesIdentity:
