@@ -38,8 +38,9 @@ from .generating import (
 )
 from .polynomials import IntPolynomial, is_log_concave, is_real_rooted, is_unimodal, newton_inequalities_hold
 from .posets import (
-    DEFAULT_MAX_BRUTE_ELEMENTS, DEFAULT_MAX_EXTENSION_ELEMENTS,
+    DEFAULT_MAX_BRUTE_ELEMENTS,
     LabeledPoset,
+    _check_brute_cap,
     antichain_poset,
     column_strict_ferrers_poset,
     verify_ferrers_eulerian_identity,
@@ -52,11 +53,12 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 # suite: (default ceiling, hard cap); each hard cap is the default budget of
-# the engine the suite enumerates with
+# the engine the suite enumerates with, or the cell cap when it enumerates
+# nothing (eq33 runs the order-ideal DP against the closed form)
 SUITES = {
     "theorem21": (16, DEFAULT_MAX_CELLS),
     "sulanke": (16, DEFAULT_MAX_CELLS),
-    "eq33": (10, DEFAULT_MAX_EXTENSION_ELEMENTS),
+    "eq33": (10, DEFAULT_MAX_CELLS),
     "ordergf": (7, DEFAULT_MAX_BRUTE_ELEMENTS),
 }
 
@@ -335,6 +337,8 @@ def cmd_verify(args) -> int:
                 poset = LabeledPoset.from_json(handle.read())
         except ValueError as exc:
             return _usage_error(f"invalid poset file {args.poset}: {exc}")
+        # before any suite runs, so an oversized file prints no case lines
+        _check_brute_cap(poset)
     first_failure = None
     for suite in suites:
         default, cap = SUITES[suite]

@@ -6,6 +6,11 @@ labeling; the full order is the transitive closure, built once per poset as
 one bitmask of strictly smaller elements per element. Ferrers posets (cells
 of a partition under the componentwise order) with column-strict labelings
 are the family of main interest.
+
+Eulerian polynomials come from one dynamic program over the order ideals,
+budgeted by their number (DEFAULT_MAX_IDEALS), not from the linear
+extensions; ``linear_extensions`` and ``jordan_holder_set`` remain as the
+enumerators it is tested against, capped at DEFAULT_MAX_EXTENSION_ELEMENTS.
 Order polynomial values come from assignment search up to
 DEFAULT_MAX_BRUTE_ELEMENTS elements and from the Eulerian series above that.
 """
@@ -17,15 +22,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import comb
-from operator import gt
 from typing import Iterator, Sequence
 
 from .combinatorics import BudgetExceededError, Partition
-from .generating import IdentityReport, _tally, compare_sequences, syt_descent_polynomial
+from .generating import IdentityReport, _descent_closed_form, compare_sequences
 from .polynomials import IntPolynomial
 
 DEFAULT_MAX_EXTENSION_ELEMENTS = 12
 DEFAULT_MAX_BRUTE_ELEMENTS = 8
+DEFAULT_MAX_IDEALS = 2**14
 
 
 @dataclass(frozen=True)
@@ -265,15 +270,59 @@ def jordan_holder_set(
         yield tuple(labels[e - 1] for e in extension)
 
 
-def eulerian_polynomial(
-    poset: LabeledPoset, max_elements: int | None = None
-) -> IntPolynomial:
+def eulerian_polynomial(poset: LabeledPoset) -> IntPolynomial:
     """Descent generating function over the Jordan-Holder permutations.
 
     For an antichain this is the classical Eulerian polynomial of the
     symmetric group, whatever the labeling.
+
+    Computed without listing the extensions, by one pass over the order
+    ideals, smallest first. The state (I, x) holds the descent polynomial of
+    the extensions of the ideal I that end in x; placing y after x shifts it
+    by one when the label of x exceeds the label of y. A state (I + y, y) has
+    the one predecessor ideal I, so each is written once. More than
+    DEFAULT_MAX_IDEALS ideals raises ``BudgetExceededError`` while the layer
+    that passes the cap is being built.
     """
-    return IntPolynomial(_tally(jordan_holder_set(poset, max_elements), poset.size, gt))
+    below = poset._below
+    labels = poset.labels
+    # largest label first: a running sum over the placed elements met so far
+    # then holds exactly the states whose last label exceeds the next one's
+    descending = sorted(range(1, poset.size + 1), key=lambda e: -labels[e - 1])
+    # the empty ideal's one state ends in the placeholder 0, which has no
+    # label and so is never counted in a running sum
+    layer: dict[int, dict[int, list[int]]] = {0: {0: [1]}}
+    ideals = 1
+    for _ in range(poset.size):
+        following: dict[int, dict[int, list[int]]] = {}
+        for ideal, ends in layer.items():
+            # a polynomial of layer k has k + 1 slots, so a shift never overflows
+            total = [sum(column) for column in zip(*ends.values())]
+            greater = [0] * len(total)
+            total.append(0)
+            for y in descending:
+                bit = 1 << y
+                if ideal & bit:
+                    if y in ends:
+                        greater = [g + c for g, c in zip(greater, ends[y])]
+                    continue
+                if below[y] & ~ideal:
+                    continue
+                grown = ideal | bit
+                if grown not in following:
+                    ideals += 1
+                    if ideals > DEFAULT_MAX_IDEALS:
+                        raise BudgetExceededError(
+                            f"poset has more than {DEFAULT_MAX_IDEALS} order ideals, "
+                            f"the ideal cap"
+                        )
+                    following[grown] = {}
+                following[grown][y] = [
+                    t - g + h for t, g, h in zip(total, greater + [0], [0] + greater)
+                ]
+        layer = following
+    (ends,) = layer.values()
+    return IntPolynomial([sum(column) for column in zip(*ends.values())])
 
 
 def _assignment_count(poset: LabeledPoset, n: int) -> int:
@@ -343,6 +392,15 @@ def order_polynomial_value(poset: LabeledPoset, n: int) -> int:
     return _series_value(poset, n)
 
 
+def _check_brute_cap(poset: LabeledPoset) -> None:
+    """Raise ``BudgetExceededError`` when the poset has more elements than
+    the assignment search of ``verify_order_gf`` is allowed to count."""
+    if poset.size > DEFAULT_MAX_BRUTE_ELEMENTS:
+        raise BudgetExceededError(
+            f"poset has {poset.size} elements, brute-force cap is {DEFAULT_MAX_BRUTE_ELEMENTS}"
+        )
+
+
 def verify_order_gf(poset: LabeledPoset, terms: int = 10) -> IdentityReport:
     """Check that brute-force order polynomial values agree with the series
     expansion of the Eulerian numerator over (1-t)^(p+1).
@@ -350,10 +408,7 @@ def verify_order_gf(poset: LabeledPoset, terms: int = 10) -> IdentityReport:
     Compares the count at argument k+1 with sum_j w_j * C(k-j+p, p) for
     0 <= k <= terms, exactly.
     """
-    if poset.size > DEFAULT_MAX_BRUTE_ELEMENTS:
-        raise BudgetExceededError(
-            f"poset has {poset.size} elements, brute-force cap is {DEFAULT_MAX_BRUTE_ELEMENTS}"
-        )
+    _check_brute_cap(poset)
     w = eulerian_polynomial(poset)
     # within the cap, order_polynomial_value is the assignment search
     brute = tuple(order_polynomial_value(poset, k + 1) for k in range(terms + 1))
@@ -365,11 +420,14 @@ def verify_ferrers_eulerian_identity(
     shape: Partition, labeling: Sequence[Sequence[int]] | None = None
 ) -> IdentityReport:
     """Check that the Eulerian polynomial of the column-strict labeled
-    Ferrers poset equals the tableau descent polynomial of the shape,
-    computed independently."""
+    Ferrers poset equals the tableau descent polynomial of the shape.
+
+    The left side is the order-ideal DP of ``eulerian_polynomial``; the right
+    side is the closed form of EC2 Prop. 7.19.12 with the hook-content
+    formula, so neither enumerates and the two are independent."""
     poset = column_strict_ferrers_poset(shape, labeling)
     left = eulerian_polynomial(poset)
-    right = syt_descent_polynomial(shape)
+    right = IntPolynomial(_descent_closed_form(shape))
     return compare_sequences(
         f"ferrers eulerian identity shape={shape}", left.coefficients, right.coefficients
     )

@@ -343,6 +343,22 @@ class TestVerify:
         assert err == "error: poset has 9 elements, brute-force cap is 8\n"
         assert "max_brute_elements" not in err
 
+    def test_oversized_poset_file_stops_all_suites_before_any_runs(self, capsys, tmp_path):
+        path = tmp_path / "poset.json"
+        path.write_text(antichain_poset(9).to_json())
+        code, out, err = run(capsys, "verify", "--suite", "all", "--poset", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: poset has 9 elements, brute-force cap is 8\n"
+
+    def test_eq33_sweeps_past_the_extension_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "eq33", "--max-cells", "14")
+        assert code == 0
+        lines = out.splitlines()
+        assert sum(line.endswith(": PASS") for line in lines) == 507
+        assert lines[-1] == "suite eq33: 507/507 passed"
+        assert err == ""
+
     @pytest.mark.parametrize(
         "content",
         [json.dumps({"size": 3, "covers": [[1, 2], [2, 3], [3, 1]], "labels": [1, 2, 3]}),

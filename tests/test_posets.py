@@ -1,11 +1,19 @@
+import time
 from itertools import permutations
-from math import factorial
+from math import comb, factorial, prod
+from operator import gt
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from narayana.bijections import perm_to_tableau
-from narayana.combinatorics import BudgetExceededError, Partition, syt_count_hook
-from narayana.generating import syt_descent_polynomial
+from narayana.combinatorics import (
+    BudgetExceededError,
+    Partition,
+    enumerate_partitions,
+    syt_count_hook,
+)
+from narayana.generating import _tally, syt_descent_polynomial
 from narayana.polynomials import IntPolynomial
 from narayana.posets import (
     LabeledPoset,
@@ -224,6 +232,64 @@ class TestEulerianPolynomial:
         assert images == set(enumerate_syt(shape))
 
 
+@st.composite
+def labeled_posets(draw, max_size=8):
+    """Random covers a < b on element ids (so acyclic) with shuffled labels."""
+    size = draw(st.integers(0, max_size))
+    pairs = [(a, b) for a in range(1, size + 1) for b in range(a + 1, size + 1)]
+    covers = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    labels = draw(st.permutations(range(1, size + 1)))
+    return LabeledPoset(size, tuple(covers), tuple(labels))
+
+
+def _extension_tally(poset):
+    """The oracle: descents counted on every Jordan-Holder permutation."""
+    return IntPolynomial(_tally(jordan_holder_set(poset), poset.size, gt))
+
+
+class TestEulerianDP:
+    def test_matches_the_extension_tally_on_every_small_ferrers_poset(self):
+        shapes = [shape for total in range(1, 11) for shape in enumerate_partitions(total)]
+        assert len(shapes) == 138
+        for shape in shapes:
+            poset = column_strict_ferrers_poset(shape)
+            assert eulerian_polynomial(poset) == _extension_tally(poset), shape
+
+    @settings(max_examples=150, deadline=None)
+    @given(labeled_posets())
+    @example(antichain_poset(0))
+    def test_matches_the_extension_tally_on_random_posets(self, poset):
+        assert eulerian_polynomial(poset) == _extension_tally(poset)
+
+    def test_ideal_budget_fails_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="order ideals"):
+            eulerian_polynomial(antichain_poset(40))
+        assert time.perf_counter() - start < 1.0
+
+    def test_reaches_past_the_extension_cap(self):
+        # 14! extensions and 2^14 ideals, exactly the ideal cap; the Eulerian
+        # numbers by their alternating sum
+        p = 14
+        eulerian = [
+            sum((-1) ** i * comb(p + 1, i) * (k + 1 - i) ** p for i in range(k + 1))
+            for k in range(p)
+        ]
+        assert eulerian_polynomial(antichain_poset(p)) == IntPolynomial(eulerian)
+        with pytest.raises(BudgetExceededError):
+            eulerian_polynomial(antichain_poset(15))
+
+
+def _reverse_ssyt_count(shape: Partition, n: int) -> int:
+    """s_lambda(1^n) by the hook-content formula: the number of fillings from
+    {1..n} that weakly drop along rows and strictly drop down columns."""
+    parts = shape.parts
+    columns = [sum(1 for row in parts if row > j) for j in range(parts[0])]
+    cells = [(i, j) for i, row in enumerate(parts) for j in range(row)]
+    contents = prod(n + j - i for i, j in cells)
+    return contents // prod(parts[i] - j + columns[j] - i - 1 for i, j in cells)
+
+
 class TestOrderPolynomial:
     def test_chain_with_natural_labels(self):
         assert [order_polynomial_value(chain_poset(2), n) for n in (1, 2, 3)] == [1, 3, 6]
@@ -267,6 +333,22 @@ class TestOrderPolynomial:
             order_polynomial_value(chain_poset(2), -1)
         # nine elements is past the brute-force cap, so the series answers
         assert order_polynomial_value(chain_poset(9), 2) == 10
+
+    def test_hook_content_oracle_matches_assignment_search(self):
+        for total in range(1, 8):
+            for shape in enumerate_partitions(total):
+                poset = column_strict_ferrers_poset(shape)
+                for n in range(0, 6):
+                    assert _assignment_count(poset, n) == _reverse_ssyt_count(shape, n), (shape, n)
+
+    def test_thirteen_cells_past_the_old_extension_cap(self):
+        shapes = list(enumerate_partitions(13))
+        assert len(shapes) == 101
+        for shape in shapes:
+            poset = column_strict_ferrers_poset(shape)
+            values = [order_polynomial_value(poset, n) for n in range(1, 6)]
+            assert values == [_reverse_ssyt_count(shape, n) for n in range(1, 6)], shape
+        assert order_polynomial_value(antichain_poset(13), 2) == 2**13
 
     def test_weakly_increasing_in_n(self):
         poset = column_strict_ferrers_poset(Partition((2, 1)))
