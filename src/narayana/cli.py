@@ -52,9 +52,11 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# suite: (default ceiling, hard cap); each hard cap is the default budget of
-# the engine the suite enumerates with, or the cell cap when it enumerates
-# nothing (eq33 runs the order-ideal DP against the closed form)
+# suite: (default ceiling, hard cap); ordergf counts order polynomials by
+# brute force and takes that engine's element cap; the others enumerate
+# nothing and take the cell cap (theorem21 runs the ballot-prefix DP against
+# the closed form, sulanke two tallies of that DP, eq33 the order-ideal DP
+# against the closed form)
 SUITES = {
     "theorem21": (16, DEFAULT_MAX_CELLS),
     "sulanke": (16, DEFAULT_MAX_CELLS),

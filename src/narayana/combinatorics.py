@@ -5,7 +5,8 @@ across threads. The enumerators walk a quota-and-dominance prefix tree that
 extends a word one symbol at a time, so only valid objects are ever
 materialized and output order is lexicographic. Words, paths and tableaux
 are checked by the one ballot scan that mirrors that generator: a word
-directly, a path as its mirrored word, and a tableau as its row word.
+directly, a path in the mirrored alphabet of its steps, and a tableau as its
+row word.
 """
 
 from __future__ import annotations
@@ -97,24 +98,35 @@ def _word_quotas(n: int, m: int) -> tuple[int, ...]:
     return (n,) * m
 
 
-def _scan_ballot(symbols: Sequence[int], quotas: Sequence[int]) -> tuple[int, int] | None:
+def _scan_ballot(
+    symbols: Sequence[int], quotas: Sequence[int], mirrored: bool = False
+) -> tuple[int, int] | None:
     """The check that mirrors ``_ballot_sequences(quotas)``: None for a ballot
     sequence, else (position, symbol) of the shortest prefix holding more
     symbol's than (symbol-1)'s, or (0, smallest symbol off its quota). Symbols
-    outside 1..len(quotas) raise a ValueError naming the position."""
+    outside 1..len(quotas) raise a ValueError naming the position.
+
+    ``mirrored`` scans in the mirrored alphabet (s read as k+1-s), the steps
+    of a path, without relabeling them: symbol s is then bounded by the count
+    of s+1, quotas[0] is the quota of k, and the result names the symbol as
+    given, so it is the mirror of the result for the relabeled sequence."""
     k = len(quotas)
-    # counts[0] exceeds every count, so symbol 1 is never dominated
-    counts = [len(symbols) + 1] + [0] * k
+    # the sentinels exceed every count, so the first symbol of the order
+    # (1, or k when mirrored) is never dominated
+    sentinel = len(symbols) + 1
+    counts = [sentinel] + [0] * k + [sentinel]
+    above = 1 if mirrored else -1
     for position, symbol in enumerate(symbols, start=1):
         if not (isinstance(symbol, int) and 0 < symbol <= k):
             raise ValueError(
                 f"symbol {symbol!r} at position {position} is outside the alphabet 1..{k}"
             )
         count = counts[symbol] + 1
-        if count > counts[symbol - 1]:
+        if count > counts[symbol + above]:
             return position, symbol
         counts[symbol] = count
-    for symbol, quota in enumerate(quotas, start=1):
+    order = range(k, 0, -1) if mirrored else range(1, k + 1)
+    for symbol, quota in zip(order, quotas):
         if counts[symbol] != quota:
             return 0, symbol
     return None
@@ -194,13 +206,11 @@ class BallotPath:
         object.__setattr__(self, "steps", tuple(self.steps))
         quotas = _word_quotas(self.n, self.m)
         try:
-            # the mirror of a step outside 1..m, an int or not, is outside too
-            failure = _scan_ballot(_relabel(self.steps, self.m), quotas)
+            failure = _scan_ballot(self.steps, quotas, mirrored=True)
         except ValueError:
             raise ValueError(f"steps must be integers in 1..{self.m}, got {self.steps}") from None
         if failure is not None:
-            position, symbol = failure
-            step = self.m + 1 - symbol
+            position, step = failure
             if position:
                 raise ValueError(
                     f"prefix of length {position} pushes coordinate {step} above "

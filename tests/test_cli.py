@@ -237,6 +237,14 @@ class TestVerify:
         assert code == 0
         assert "suite theorem21: 14/14 passed" in out
 
+    @pytest.mark.parametrize("suite", ["theorem21", "sulanke"])
+    def test_word_suites_reach_their_cap(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-cells", "22")
+        assert code == 0
+        assert sum(line.endswith(": PASS") for line in out.splitlines()) == 74
+        assert f"suite {suite}: 74/74 passed" in out
+        assert err == ""
+
     def test_all_suites(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "all", "--max-cells", "4", "--no-cache"

@@ -18,6 +18,7 @@ from narayana.combinatorics import (
     is_lattice_word,
     syt_count_hook,
     _relabel,
+    _scan_ballot,
 )
 
 SAMPLE_WORD = "121113223233"
@@ -137,6 +138,21 @@ class TestBallotPath:
     def test_counts_enforced(self):
         with pytest.raises(ValueError):
             BallotPath((2, 2), 1, 2)
+
+    @pytest.mark.parametrize(
+        "steps,n,m,message",
+        [
+            ((1, 2), 1, 2, "prefix of length 1 pushes coordinate 1 above coordinate 2"),
+            ((3, 2, 2, 1, 1), 2, 3, "prefix of length 3 pushes coordinate 2 above coordinate 3"),
+            ((2, 2), 1, 2, "step 2 occurs 2 times, expected 1"),
+            ((3, 2, 1), 2, 3, "step 3 occurs 1 times, expected 2"),
+            ((3, 3, 2, 2, 1), 2, 3, "step 1 occurs 1 times, expected 2"),
+        ],
+    )
+    def test_error_messages(self, steps, n, m, message):
+        with pytest.raises(ValueError) as info:
+            BallotPath(steps, n, m)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("steps", [(2, 3), (0, 1), (2, 1.0), (2, "1")])
     def test_steps_outside_the_coordinates(self, steps):
@@ -344,6 +360,19 @@ def test_path_check_matches_word_check_on_every_word(n, m):
         except ValueError:
             accepted = False
         assert accepted == is_lattice_word(word, n, m), word
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_mirrored_scan_is_the_mirror_of_the_word_scan(m):
+    quotas = (2,) * m
+    for length in range(2 * m + 1):
+        for word in product(range(1, m + 1), repeat=length):
+            failure = _scan_ballot(word, quotas)
+            mirrored = _scan_ballot(_relabel(word, m), quotas, mirrored=True)
+            if failure is None:
+                assert mirrored is None, word
+            else:
+                assert mirrored == (failure[0], m + 1 - failure[1]), word
 
 
 def test_row_of_and_descent_set_agree_with_the_row_word():

@@ -1,9 +1,15 @@
+import time
+from operator import gt, lt
+
 import pytest
 from hypothesis import given, strategies as st
 
-from narayana.combinatorics import Partition, enumerate_lattice_words, enumerate_partitions
+from narayana.combinatorics import (Partition, _ballot_sequences, enumerate_lattice_words,
+                                    enumerate_partitions)
 from narayana.generating import (
+    _ballot_tally,
     _descent_closed_form,
+    _tally,
     compare_sequences,
     narayana_polynomial,
     rectangular_catalan,
@@ -113,3 +119,34 @@ def test_closed_form_is_palindromic_and_counts_tableaux_up_to_64_cells():
             coeffs = narayana_polynomial(n, m, max_cells=n * m).coefficients
             assert coeffs == tuple(reversed(coeffs)), (n, m)
             assert sum(coeffs) == rectangular_catalan(n, m), (n, m)
+
+
+@pytest.mark.parametrize("compare", [gt, lt], ids=["gt", "lt"])
+def test_ballot_tally_matches_the_enumerated_tally_up_to_12_cells(compare):
+    for total in range(13):
+        for shape in enumerate_partitions(total):
+            quotas = shape.parts
+            expected = _tally(_ballot_sequences(quotas), total, compare)
+            assert _ballot_tally(quotas, compare) == expected, quotas
+
+
+@pytest.mark.parametrize("compare", [gt, lt], ids=["gt", "lt"])
+def test_ballot_tally_of_no_symbols_is_one(compare):
+    assert _ballot_tally((), compare) == [1]
+    assert _ballot_tally((0, 0, 0), compare) == [1]
+    assert syt_descent_polynomial(Partition(())) == IntPolynomial([1])
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (0, 3), (3, 0)])
+def test_identities_hold_on_empty_rectangles(n, m):
+    assert verify_tableau_identity(n, m)
+    assert verify_sulanke_equidistribution(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(5, 4), (4, 5)])
+def test_twenty_cell_rectangles_check_in_well_under_a_second(n, m):
+    # enumerating the 1.66M words of 5-by-4 took about half a minute
+    for check in (verify_tableau_identity, verify_sulanke_equidistribution):
+        start = time.perf_counter()
+        assert check(n, m)
+        assert time.perf_counter() - start < 1.0, check.__name__
