@@ -23,6 +23,7 @@ from .combinatorics import (
     syt_count_hook,
 )
 from .polynomials import (
+    IdentityReport,
     IntPolynomial,
     RealRootCertificate,
     is_log_concave,
@@ -40,14 +41,6 @@ from .bijections import (
     word_to_path,
     word_to_tableau,
 )
-from .generating import (
-    IdentityReport,
-    narayana_polynomial,
-    rectangular_catalan,
-    syt_descent_polynomial,
-    verify_sulanke_equidistribution,
-    verify_tableau_identity,
-)
 from .posets import (
     LabeledPoset,
     antichain_poset,
@@ -62,6 +55,13 @@ from .posets import (
     order_polynomial_value,
     verify_ferrers_eulerian_identity,
     verify_order_gf,
+)
+from .generating import (
+    narayana_polynomial,
+    rectangular_catalan,
+    syt_descent_polynomial,
+    verify_sulanke_equidistribution,
+    verify_tableau_identity,
 )
 
 __all__ = [

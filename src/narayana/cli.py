@@ -54,9 +54,9 @@ EXIT_BUDGET = 3
 
 # suite: (default ceiling, hard cap); ordergf counts order polynomials by
 # brute force and takes that engine's element cap; the others enumerate
-# nothing and take the cell cap (theorem21 runs the ballot-prefix DP against
-# the closed form, sulanke two tallies of that DP, eq33 the order-ideal DP
-# against the closed form)
+# nothing and take the cell cap (theorem21 runs the word DP against the
+# closed form, sulanke the word DP against the tableau DP, eq33 the tableau
+# DP against the closed form; both DPs are posets.eulerian_polynomial)
 SUITES = {
     "theorem21": (16, DEFAULT_MAX_CELLS),
     "sulanke": (16, DEFAULT_MAX_CELLS),

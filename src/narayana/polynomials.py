@@ -6,7 +6,8 @@ pseudo-remainders that are only ever rescaled by positive factors, so sign
 patterns are exact; evaluations at rational points use ``Fraction``. A
 palindromic polynomial of degree d is certified through a polynomial of
 degree floor(d/2) in t + 1/t, with the same certificate as the plain chain.
-No floating point enters any certification path.
+No floating point enters any certification path. ``compare_sequences``
+reports the first mismatch of two coefficient vectors (``IdentityReport``).
 """
 
 from __future__ import annotations
@@ -517,3 +518,42 @@ def newton_inequalities_hold(p: IntPolynomial) -> bool:
         a[k] * a[k] * k * (n - k) >= a[k - 1] * a[k + 1] * (k + 1) * (n - k + 1)
         for k in range(1, n)
     )
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Outcome of an exact coefficient-wise comparison of two integer
+    vectors, with the first mismatch (if any) pinned down."""
+
+    passed: bool
+    description: str
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    mismatch_index: int | None = None
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+    def detail(self) -> str:
+        if self.passed:
+            return f"{self.description}: ok"
+        i = self.mismatch_index or 0
+        left = self.left[i] if i < len(self.left) else 0
+        right = self.right[i] if i < len(self.right) else 0
+        return (
+            f"{self.description}: index {i} differs, left={left} right={right}; "
+            f"left={list(self.left)} right={list(self.right)}"
+        )
+
+
+def compare_sequences(
+    description: str, left: Sequence[int], right: Sequence[int]
+) -> IdentityReport:
+    mismatch = None
+    for i in range(max(len(left), len(right))):
+        a = left[i] if i < len(left) else 0
+        b = right[i] if i < len(right) else 0
+        if a != b:
+            mismatch = i
+            break
+    return IdentityReport(mismatch is None, description, tuple(left), tuple(right), mismatch)

@@ -9,8 +9,10 @@ are the family of main interest.
 
 Eulerian polynomials come from one dynamic program over the order ideals,
 budgeted by their number (DEFAULT_MAX_IDEALS), not from the linear
-extensions; ``linear_extensions`` and ``jordan_holder_set`` remain as the
-enumerators it is tested against, capped at DEFAULT_MAX_EXTENSION_ELEMENTS.
+extensions; it is the package's only descent DP, and ``generating`` runs it
+on labeled Ferrers posets for the tableau and word tallies.
+``linear_extensions`` and ``jordan_holder_set`` remain as the enumerators it
+is tested against, capped at DEFAULT_MAX_EXTENSION_ELEMENTS.
 Order polynomial values come from assignment search up to
 DEFAULT_MAX_BRUTE_ELEMENTS elements and from the Eulerian series above that.
 """
@@ -21,12 +23,11 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import comb
+from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .combinatorics import BudgetExceededError, Partition
-from .generating import IdentityReport, _descent_closed_form, compare_sequences
-from .polynomials import IntPolynomial
+from .combinatorics import BudgetExceededError, Partition, _descent_closed_form
+from .polynomials import IdentityReport, IntPolynomial, compare_sequences
 
 DEFAULT_MAX_EXTENSION_ELEMENTS = 12
 DEFAULT_MAX_BRUTE_ELEMENTS = 8
@@ -165,21 +166,23 @@ def ferrers_cells(shape: Partition) -> tuple[tuple[int, int], ...]:
     )
 
 
-def ferrers_poset(shape: Partition) -> LabeledPoset:
-    """Cells of the shape under the componentwise order, with identity labels.
+def _ferrers_covers(shape: Partition) -> list[tuple[int, int]]:
+    """Covers of the shape's cells under the componentwise order, with
+    element ids in row-major cell order: each cell is covered by its right
+    neighbor and by the cell below."""
+    index = {cell: e for e, cell in enumerate(ferrers_cells(shape), start=1)}
+    return [
+        (e, index[upper])
+        for (i, j), e in index.items()
+        for upper in ((i, j + 1), (i + 1, j))
+        if upper in index
+    ]
 
-    Element ids follow row-major cell order; covers go to the right neighbor
-    and to the cell below.
-    """
-    cells = ferrers_cells(shape)
-    index = {cell: e for e, cell in enumerate(cells, start=1)}
-    covers = []
-    for (i, j), e in index.items():
-        if (i, j + 1) in index:
-            covers.append((e, index[(i, j + 1)]))
-        if (i + 1, j) in index:
-            covers.append((e, index[(i + 1, j)]))
-    return LabeledPoset.with_identity_labels(len(cells), covers)
+
+def ferrers_poset(shape: Partition) -> LabeledPoset:
+    """Cells of the shape under the componentwise order, with identity labels
+    (element ids follow row-major cell order, see ``_ferrers_covers``)."""
+    return LabeledPoset.with_identity_labels(shape.cells, _ferrers_covers(shape))
 
 
 def column_strict_labeling(shape: Partition) -> tuple[tuple[int, ...], ...]:
@@ -222,7 +225,7 @@ def column_strict_ferrers_poset(
     if not is_column_strict(rows):
         raise ValueError("labeling is not column strict")
     flat = tuple(value for row in rows for value in row)
-    return ferrers_poset(shape).relabeled(flat)
+    return LabeledPoset(shape.cells, tuple(_ferrers_covers(shape)), flat)
 
 
 def linear_extensions(
@@ -284,27 +287,29 @@ def eulerian_polynomial(poset: LabeledPoset) -> IntPolynomial:
     DEFAULT_MAX_IDEALS ideals raises ``BudgetExceededError`` while the layer
     that passes the cap is being built.
     """
+    p = poset.size
     below = poset._below
     labels = poset.labels
     # largest label first: a running sum over the placed elements met so far
     # then holds exactly the states whose last label exceeds the next one's
-    descending = sorted(range(1, poset.size + 1), key=lambda e: -labels[e - 1])
+    descending = sorted(range(1, p + 1), key=lambda e: -labels[e - 1])
+    # each polynomial is one int with `width` bits per coefficient: an ideal
+    # has at most p! extensions, so sums, differences of a sum and a part of
+    # it, and shifts never carry between slots
+    width = factorial(p).bit_length()
     # the empty ideal's one state ends in the placeholder 0, which has no
     # label and so is never counted in a running sum
-    layer: dict[int, dict[int, list[int]]] = {0: {0: [1]}}
+    layer: dict[int, dict[int, int]] = {0: {0: 1}}
     ideals = 1
-    for _ in range(poset.size):
-        following: dict[int, dict[int, list[int]]] = {}
+    for _ in range(p):
+        following: dict[int, dict[int, int]] = {}
         for ideal, ends in layer.items():
-            # a polynomial of layer k has k + 1 slots, so a shift never overflows
-            total = [sum(column) for column in zip(*ends.values())]
-            greater = [0] * len(total)
-            total.append(0)
+            total = sum(ends.values())
+            greater = 0
             for y in descending:
                 bit = 1 << y
                 if ideal & bit:
-                    if y in ends:
-                        greater = [g + c for g, c in zip(greater, ends[y])]
+                    greater += ends.get(y, 0)
                     continue
                 if below[y] & ~ideal:
                     continue
@@ -317,12 +322,13 @@ def eulerian_polynomial(poset: LabeledPoset) -> IntPolynomial:
                             f"the ideal cap"
                         )
                     following[grown] = {}
-                following[grown][y] = [
-                    t - g + h for t, g, h in zip(total, greater + [0], [0] + greater)
-                ]
+                following[grown][y] = total - greater + (greater << width)
         layer = following
+    # a permutation of p labels has fewer than max(1, p) descents
     (ends,) = layer.values()
-    return IntPolynomial([sum(column) for column in zip(*ends.values())])
+    packed = sum(ends.values())
+    mask = (1 << width) - 1
+    return IntPolynomial([packed >> (width * i) & mask for i in range(max(1, p))])
 
 
 def _assignment_count(poset: LabeledPoset, n: int) -> int:
@@ -425,9 +431,6 @@ def verify_ferrers_eulerian_identity(
     The left side is the order-ideal DP of ``eulerian_polynomial``; the right
     side is the closed form of EC2 Prop. 7.19.12 with the hook-content
     formula, so neither enumerates and the two are independent."""
-    poset = column_strict_ferrers_poset(shape, labeling)
-    left = eulerian_polynomial(poset)
-    right = IntPolynomial(_descent_closed_form(shape))
-    return compare_sequences(
-        f"ferrers eulerian identity shape={shape}", left.coefficients, right.coefficients
-    )
+    left = eulerian_polynomial(column_strict_ferrers_poset(shape, labeling)).coefficients
+    right = IntPolynomial(_descent_closed_form(shape)).coefficients
+    return compare_sequences(f"ferrers eulerian identity shape={shape}", left, right)

@@ -4,20 +4,19 @@ from operator import gt, lt
 import pytest
 from hypothesis import given, strategies as st
 
-from narayana.combinatorics import (Partition, _ballot_sequences, enumerate_lattice_words,
+from narayana.combinatorics import (BudgetExceededError, Partition, _ballot_sequences,
+                                    _descent_closed_form, enumerate_lattice_words,
                                     enumerate_partitions)
 from narayana.generating import (
-    _ballot_tally,
-    _descent_closed_form,
     _tally,
-    compare_sequences,
     narayana_polynomial,
     rectangular_catalan,
     syt_descent_polynomial,
     verify_sulanke_equidistribution,
     verify_tableau_identity,
 )
-from narayana.polynomials import IntPolynomial
+from narayana.polynomials import IntPolynomial, compare_sequences
+from narayana.posets import column_strict_ferrers_poset, eulerian_polynomial, ferrers_poset
 
 
 def test_trivial_weights_give_one():
@@ -121,20 +120,45 @@ def test_closed_form_is_palindromic_and_counts_tableaux_up_to_64_cells():
             assert sum(coeffs) == rectangular_catalan(n, m), (n, m)
 
 
-@pytest.mark.parametrize("compare", [gt, lt], ids=["gt", "lt"])
-def test_ballot_tally_matches_the_enumerated_tally_up_to_12_cells(compare):
+@pytest.mark.parametrize(
+    "compare,build", [(gt, ferrers_poset), (lt, column_strict_ferrers_poset)],
+    ids=["natural-gt", "column-strict-lt"],
+)
+def test_ferrers_eulerian_polynomial_matches_the_enumerated_tally_up_to_12_cells(
+    compare, build
+):
+    # the natural labeling descends where the row word descends, the
+    # column-strict one where it ascends
     for total in range(13):
         for shape in enumerate_partitions(total):
-            quotas = shape.parts
-            expected = _tally(_ballot_sequences(quotas), total, compare)
-            assert _ballot_tally(quotas, compare) == expected, quotas
+            expected = IntPolynomial(_tally(_ballot_sequences(shape.parts), total, compare))
+            assert eulerian_polynomial(build(shape)) == expected, shape
 
 
-@pytest.mark.parametrize("compare", [gt, lt], ids=["gt", "lt"])
-def test_ballot_tally_of_no_symbols_is_one(compare):
-    assert _ballot_tally((), compare) == [1]
-    assert _ballot_tally((0, 0, 0), compare) == [1]
+@pytest.mark.parametrize(
+    "build", [ferrers_poset, column_strict_ferrers_poset], ids=["natural", "column-strict"]
+)
+def test_ferrers_eulerian_polynomial_of_the_empty_shape_is_one(build):
+    assert eulerian_polynomial(build(Partition(()))) == IntPolynomial([1])
     assert syt_descent_polynomial(Partition(())) == IntPolynomial([1])
+
+
+def test_tableau_dp_reaches_the_8_by_8_rectangle():
+    # 12,870 order ideals, inside DEFAULT_MAX_IDEALS
+    shape = Partition.rectangle(8, 8)
+    expected = IntPolynomial(_descent_closed_form(shape))
+    assert syt_descent_polynomial(shape, max_cells=64) == expected
+
+
+def test_tableau_dp_refuses_the_9_by_9_rectangle_by_its_ideal_cap():
+    # 48,620 order ideals: the ideal cap now bounds syt_descent_polynomial
+    # too, while narayana_polynomial reaches 9-by-9 by the closed form
+    shape = Partition.rectangle(9, 9)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="the ideal cap"):
+        syt_descent_polynomial(shape, max_cells=81)
+    assert time.perf_counter() - start < 2.0
+    assert narayana_polynomial(9, 9, max_cells=81)(1) == rectangular_catalan(9, 9)
 
 
 @pytest.mark.parametrize("n,m", [(0, 0), (0, 3), (3, 0)])

@@ -133,6 +133,15 @@ class TestColumnStrictLabeling:
         with pytest.raises(ValueError, match="shape"):
             column_strict_ferrers_poset(shape, ((2, 4, 5), (1, 3)))
 
+    def test_poset_is_the_relabeled_ferrers_poset_up_to_8_cells(self):
+        for total in range(9):
+            for shape in enumerate_partitions(total):
+                flat = tuple(value for row in column_strict_labeling(shape) for value in row)
+                poset = column_strict_ferrers_poset(shape)
+                assert poset == ferrers_poset(shape).relabeled(flat), shape
+        custom = column_strict_ferrers_poset(Partition((2, 2)), ((2, 4), (1, 3)))
+        assert custom == ferrers_poset(Partition((2, 2))).relabeled((2, 4, 1, 3))
+
 
 class TestLinearExtensions:
     def test_chain_has_one(self):
