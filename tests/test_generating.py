@@ -122,13 +122,12 @@ def test_closed_form_is_palindromic_and_counts_tableaux_up_to_64_cells():
 
 @pytest.mark.parametrize(
     "compare,build", [(gt, ferrers_poset), (lt, column_strict_ferrers_poset)],
-    ids=["natural-gt", "column-strict-lt"],
+    ids=["gt", "lt"],
 )
-def test_ferrers_eulerian_polynomial_matches_the_enumerated_tally_up_to_12_cells(
-    compare, build
-):
-    # the natural labeling descends where the row word descends, the
-    # column-strict one where it ascends
+def test_ballot_tally_matches_the_enumerated_tally_up_to_12_cells(compare, build):
+    # the descent tally of the ballot sequences of each shape, by the DP on
+    # its Ferrers poset: the natural labeling descends where the row word
+    # descends, the column-strict one where it ascends
     for total in range(13):
         for shape in enumerate_partitions(total):
             expected = IntPolynomial(_tally(_ballot_sequences(shape.parts), total, compare))
