@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .combinatorics import (BallotPath, LatticeWord, Partition, StandardTableau, _relabel,
-                            _rows_from_word)
+from .combinatorics import BallotPath, LatticeWord, Partition, StandardTableau, _relabel
 
 
 def word_to_tableau(word: LatticeWord) -> StandardTableau:
@@ -20,7 +19,7 @@ def word_to_tableau(word: LatticeWord) -> StandardTableau:
     The result is a standard filling of the m-by-n rectangle: row i lists,
     left to right, where the first, second, ... occurrence of i sits.
     """
-    return StandardTableau(_rows_from_word(word.symbols, word.m))
+    return StandardTableau._from_row_word(word.symbols, (word.n,) * word.m)
 
 
 def tableau_to_word(tableau: StandardTableau) -> LatticeWord:

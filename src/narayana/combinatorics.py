@@ -3,10 +3,12 @@
 All objects are immutable values validated on construction, safe to share
 across threads. The enumerators walk a quota-and-dominance prefix tree that
 extends a word one symbol at a time, so only valid objects are ever
-materialized and output order is lexicographic. Words, paths and tableaux
-are checked by the one ballot scan that mirrors that generator: a word
-directly, a path in the mirrored alphabet of its steps, and a tableau as its
-row word.
+materialized and output order is lexicographic. The walk is iterative up to
+the last six symbols; those come from tables of completions, one per symbol
+count vector reached, built once per call (at most 6! = 720 completions of
+six symbols each per table). Words, paths and tableaux are checked by the one
+ballot scan that mirrors that generator: a word directly, a path in the
+mirrored alphabet of its steps, and a tableau as its row word.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from operator import gt, lt
 from typing import Iterator, Sequence
 
 DEFAULT_MAX_CELLS = 22
+# symbols at the end of a ballot sequence taken from memoized completion tables
+_SUFFIX_SYMBOLS = 6
 
 
 class BudgetExceededError(RuntimeError):
@@ -183,8 +187,8 @@ class LatticeWord:
 
     def __str__(self) -> str:
         if self.m <= 9:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+            return "".join(map(str, self.symbols))
+        return ",".join(map(str, self.symbols))
 
 
 def _relabel(symbols: Sequence[int], m: int) -> tuple[int, ...]:
@@ -228,8 +232,8 @@ class BallotPath:
 
     def __str__(self) -> str:
         if self.m <= 9:
-            return "".join(str(s) for s in self.steps)
-        return ",".join(str(s) for s in self.steps)
+            return "".join(map(str, self.steps))
+        return ",".join(map(str, self.steps))
 
 
 @dataclass(frozen=True)
@@ -260,15 +264,35 @@ class StandardTableau:
         if 0 in row_word:
             raise ValueError(f"entries must be exactly 1..{p}")
         # with increasing rows, the columns increase exactly when the row word
-        # is a ballot sequence; a failing entry ends row i at column j while
-        # row i-1 holds fewer than j smaller entries
+        # is a ballot sequence
         failure = _scan_ballot(row_word, lengths)
         if failure is not None:
-            entry, i = failure
-            j = rows[i - 1].index(entry) + 1
-            column = [row[j - 1] for row in rows if len(row) >= j]
-            raise ValueError(f"column {j} is not strictly increasing: {column}")
+            raise _column_error(rows, row_word, *failure)
         object.__setattr__(self, "_row_word", tuple(row_word))
+
+    @classmethod
+    def _from_row_word(
+        cls, row_word: Sequence[int], parts: Sequence[int]
+    ) -> "StandardTableau":
+        """The tableau whose entry e sits in row row_word[e-1], for a shape
+        with the given row lengths; equal to the rows constructor on
+        ``_rows_from_word(row_word, len(parts))``.
+
+        Rows built that way increase and cover 1..p, so the ballot scan of
+        the row word is the whole standardness check."""
+        failure = _scan_ballot(row_word, parts)
+        if failure is not None:
+            counts = tuple(map(row_word.count, range(1, len(parts) + 1)))
+            if len(row_word) != sum(parts) or counts != tuple(parts):
+                raise ValueError(
+                    f"row word {tuple(row_word)} does not fill rows of lengths {tuple(parts)}"
+                )
+            raise _column_error(_rows_from_word(row_word, len(parts)), row_word, *failure)
+        rows = _rows_from_word(row_word, len(parts))
+        tableau = object.__new__(cls)
+        object.__setattr__(tableau, "rows", rows)
+        object.__setattr__(tableau, "_row_word", tuple(row_word))
+        return tableau
 
     @property
     def shape(self) -> Partition:
@@ -293,7 +317,18 @@ class StandardTableau:
         return _pair_count(self._row_word, lt)
 
     def __str__(self) -> str:
-        return ";".join(",".join(str(entry) for entry in row) for row in self.rows)
+        return ";".join([",".join(map(str, row)) for row in self.rows])
+
+
+def _column_error(
+    rows: Sequence[Sequence[int]], row_word: Sequence[int], entry: int, i: int
+) -> ValueError:
+    """The error for increasing rows whose row word fails the ballot scan at
+    (entry, i): the entry ends row i at column j while row i-1 holds fewer
+    than j smaller entries."""
+    j = row_word[:entry].count(i)
+    column = [row[j - 1] for row in rows if len(row) >= j]
+    return ValueError(f"column {j} is not strictly increasing: {column}")
 
 
 def _rows_from_word(row_word: Sequence[int], row_count: int) -> tuple[tuple[int, ...], ...]:
@@ -308,17 +343,39 @@ def _ballot_sequences(quotas: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All words in which symbol r appears quotas[r-1] times and no prefix
     holds more r's than (r-1)'s, in lexicographic order.
 
-    Iterative backtracking over one reused buffer; a tuple copy is taken only
-    when a complete word is emitted.
+    Iterative backtracking over one reused buffer walks the prefixes of all
+    but the last _SUFFIX_SYMBOLS symbols, so the walk needs no recursion at
+    any length. Each prefix it reaches is extended by every word of the
+    completion table of its symbol counts. The tables are built recursively
+    (depth at most _SUFFIX_SYMBOLS) and memoized for the call: one table per
+    count vector met, each of at most 6! = 720 completions of six symbols
+    (165 tables and 55,752 symbols in all for the 21-cell staircase).
     """
     k = len(quotas)
     total = sum(quotas)
-    if total == 0:
-        yield ()
-        return
     caps = (0,) + tuple(quotas)
+    tables: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def completions(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
+        # the words that complete a prefix with these symbol counts, in
+        # lexicographic order; counts[0] is a placeholder
+        table = tables.get(counts)
+        if table is None:
+            table = [] if sum(counts) < total else [()]
+            for symbol in range(1, k + 1):
+                count = counts[symbol]
+                if count < caps[symbol] and (symbol == 1 or counts[symbol - 1] > count):
+                    grown = counts[:symbol] + (count + 1,) + counts[symbol + 1:]
+                    table.extend([(symbol,) + rest for rest in completions(grown)])
+            tables[counts] = table
+        return table
+
+    split = total - _SUFFIX_SYMBOLS
+    if split <= 0:
+        yield from completions((0,) * (k + 1))
+        return
     counts = [0] * (k + 1)
-    word = [0] * total
+    word = [0] * split
     position = 0
     symbol = 1
     while True:
@@ -338,8 +395,10 @@ def _ballot_sequences(quotas: Sequence[int]) -> Iterator[tuple[int, ...]]:
         word[position] = symbol
         counts[symbol] += 1
         position += 1
-        if position == total:
-            yield tuple(word)
+        if position == split:
+            prefix = tuple(word)
+            for rest in completions(tuple(counts)):
+                yield prefix + rest
             position -= 1
             symbol = word[position]
             counts[symbol] -= 1
@@ -379,8 +438,9 @@ def enumerate_syt(
     """Yield every standard filling of the shape once, ordered
     lexicographically by the sequence of row indices of 1, 2, ..., p."""
     _check_budget(shape.cells, max_cells)
-    for row_word in _ballot_sequences(shape.parts):
-        yield StandardTableau(_rows_from_word(row_word, shape.rows))
+    parts = shape.parts
+    for row_word in _ballot_sequences(parts):
+        yield StandardTableau._from_row_word(row_word, parts)
 
 
 def _hooks(shape: Partition) -> list[int]:

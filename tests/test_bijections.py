@@ -14,6 +14,7 @@ from narayana.combinatorics import (
     StandardTableau,
     enumerate_lattice_words,
     enumerate_syt,
+    _rows_from_word,
 )
 from narayana.posets import column_strict_labeling
 
@@ -35,6 +36,16 @@ def test_small_cases():
     row = word_to_tableau(LatticeWord((1, 1, 1), 3, 1))
     assert row.rows == ((1, 2, 3),)
     assert str(tableau_to_word(row)) == "111"
+
+
+def test_word_to_tableau_matches_the_rows_constructor():
+    weights = [(n, m) for n in range(10) for m in range(10) if n * m <= 9]
+    for n, m in weights:
+        for word in enumerate_lattice_words(n, m):
+            tableau = word_to_tableau(word)
+            expected = StandardTableau(_rows_from_word(word.symbols, m))
+            assert tableau == expected and tableau._row_word == expected._row_word
+            assert str(tableau) == str(expected)
 
 
 def test_tableau_to_word_requires_rectangles():

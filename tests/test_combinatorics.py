@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +17,9 @@ from narayana.combinatorics import (
     enumerate_syt,
     is_lattice_word,
     syt_count_hook,
+    _ballot_sequences,
     _relabel,
+    _rows_from_word,
     _scan_ballot,
 )
 
@@ -202,6 +204,20 @@ class TestStandardTableau:
         with pytest.raises(ValueError, match="weakly decreasing"):
             StandardTableau(((1,), (2, 3)))
 
+    @pytest.mark.parametrize(
+        "row_word,parts,message",
+        [
+            ((2, 1, 1), (2, 1), r"column 1 is not strictly increasing: \[2, 1\]"),
+            ((1, 2, 2, 1), (2, 2), r"column 2 is not strictly increasing: \[4, 3\]"),
+            ((1, 1, 3), (2, 1), "outside the alphabet"),
+            ((1, 1, 3), (1, 1, 1), "does not fill"),
+            ((1, 2, 2), (2, 1), "does not fill"),
+        ],
+    )
+    def test_row_word_constructor_rejects_non_ballot_words(self, row_word, parts, message):
+        with pytest.raises(ValueError, match=message):
+            StandardTableau._from_row_word(row_word, parts)
+
     def test_column_error_names_the_first_failing_column(self):
         with pytest.raises(ValueError, match=r"column 3 is not strictly increasing: \[6, 5\]"):
             StandardTableau(((1, 2, 6), (3, 4, 5)))
@@ -238,6 +254,44 @@ class TestEnumeration:
     def test_paths_match_words(self):
         paths = [p.steps for p in enumerate_ballot_paths(2, 2)]
         assert paths == [(2, 2, 1, 1), (2, 1, 2, 1)]
+
+
+def _arrangements(quotas):
+    """Every distinct arrangement of the multiset holding quotas[r-1] copies
+    of r: each symbol in turn takes a set of the positions still free."""
+    total = sum(quotas)
+    word = [0] * total
+
+    def place(symbol, free):
+        if symbol > len(quotas):
+            yield tuple(word)
+            return
+        for spots in combinations(free, quotas[symbol - 1]):
+            for spot in spots:
+                word[spot] = symbol
+            yield from place(symbol + 1, [f for f in free if f not in spots])
+
+    yield from place(1, list(range(total)))
+
+
+# totals 0 to 9 sit on both sides of the six-symbol suffix split
+GENERATOR_QUOTAS = sorted(
+    {shape.parts for total in range(9) for shape in enumerate_partitions(total)}
+    | {(n,) * m for n in range(1, 10) for m in range(1, 10) if n * m <= 9}
+    | {(), (0, 0, 0)}
+)
+
+
+@pytest.mark.parametrize("quotas", GENERATOR_QUOTAS, ids=str)
+def test_ballot_generator_matches_the_filtered_arrangements(quotas):
+    expected = sorted(w for w in _arrangements(quotas) if _scan_ballot(w, quotas) is None)
+    assert list(_ballot_sequences(quotas)) == expected
+
+
+def test_long_prefix_walks_need_no_recursion():
+    # the prefix walk is iterative, so thousands of symbols stay in reach
+    assert len(list(enumerate_lattice_words(2000, 1, max_cells=2000))) == 1
+    assert len(list(enumerate_syt(Partition((1,) * 1500), max_cells=1500))) == 1
 
 
 class TestSytEnumeration:
@@ -373,6 +427,18 @@ def test_mirrored_scan_is_the_mirror_of_the_word_scan(m):
                 assert mirrored is None, word
             else:
                 assert mirrored == (failure[0], m + 1 - failure[1]), word
+
+
+def test_row_word_constructor_matches_the_rows_constructor():
+    for total in range(9):
+        for shape in enumerate_partitions(total):
+            parts = shape.parts
+            for row_word in _ballot_sequences(parts):
+                fast = StandardTableau._from_row_word(row_word, parts)
+                slow = StandardTableau(_rows_from_word(row_word, len(parts)))
+                assert fast.rows == slow.rows and fast._row_word == slow._row_word
+                assert fast.descent_set() == slow.descent_set()
+                assert str(fast) == str(slow)
 
 
 def test_row_of_and_descent_set_agree_with_the_row_word():
