@@ -279,14 +279,12 @@ class StandardTableau:
         ``_rows_from_word(row_word, len(parts))``.
 
         Rows built that way increase and cover 1..p, so the ballot scan of
-        the row word is the whole standardness check."""
+        the row word is the whole standardness check. The row word is meant
+        to hold parts[i-1] copies of i, as every caller's ballot word does;
+        the scan rejects any other, though the column it then names need not
+        exist."""
         failure = _scan_ballot(row_word, parts)
         if failure is not None:
-            counts = tuple(map(row_word.count, range(1, len(parts) + 1)))
-            if len(row_word) != sum(parts) or counts != tuple(parts):
-                raise ValueError(
-                    f"row word {tuple(row_word)} does not fill rows of lengths {tuple(parts)}"
-                )
             raise _column_error(_rows_from_word(row_word, len(parts)), row_word, *failure)
         rows = _rows_from_word(row_word, len(parts))
         tableau = object.__new__(cls)

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .combinatorics import BudgetExceededError, Partition, _descent_closed_form
@@ -273,35 +273,6 @@ def jordan_holder_set(
         yield tuple(labels[e - 1] for e in extension)
 
 
-def _slot_width(poset: LabeledPoset) -> int:
-    """Bits that hold the number of linear extensions of any order ideal.
-
-    An ideal I has at most e(P) extensions (each extends to one of P), and
-    e(P) is at most the number of interleavings of any chain cover of P: the
-    multinomial of the chain lengths. The cover is greedy: each element, in
-    topological order, extends the chain whose tail is the smallest element
-    id below it, or starts a chain. An antichain gives p!, a chain 1.
-
-    Up to 12 elements p! fits in 30 bits, and the cover is skipped: it cost
-    more of the DP's time than the narrower slots saved."""
-    p = poset.size
-    if p <= 12:
-        return factorial(p).bit_length()
-    below = poset._below
-    tails = 0  # bitmask of the tails of the chains so far
-    length_of: dict[int, int] = {}  # chain length by tail
-    for element in poset._topological_order:
-        length = 1
-        ready = below[element] & tails
-        if ready:
-            tail = (ready & -ready).bit_length() - 1
-            tails ^= 1 << tail
-            length += length_of.pop(tail)
-        tails |= 1 << element
-        length_of[element] = length
-    return (factorial(p) // prod(map(factorial, length_of.values()))).bit_length()
-
-
 def eulerian_polynomial(poset: LabeledPoset) -> IntPolynomial:
     """Descent generating function over the Jordan-Holder permutations.
 
@@ -322,10 +293,10 @@ def eulerian_polynomial(poset: LabeledPoset) -> IntPolynomial:
     # largest label first: a running sum over the placed elements met so far
     # then holds exactly the states whose last label exceeds the next one's
     descending = sorted(range(1, p + 1), key=lambda e: -labels[e - 1])
-    # each polynomial is one int with `width` bits per coefficient, enough
-    # for any count of extensions of an ideal, so sums, differences of a sum
-    # and a part of it, and shifts never carry between slots
-    width = _slot_width(poset)
+    # each polynomial is one int with `width` bits per coefficient: an ideal
+    # has at most p! extensions, so sums, differences of a sum and a part of
+    # it, and shifts never carry between slots
+    width = factorial(p).bit_length()
     # the empty ideal's one state ends in the placeholder 0, which has no
     # label and so is never counted in a running sum
     layer: dict[int, dict[int, int]] = {0: {0: 1}}

@@ -6,7 +6,6 @@ from operator import gt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from narayana import posets as posets_module
 from narayana.bijections import perm_to_tableau
 from narayana.combinatorics import (
     BudgetExceededError,
@@ -33,7 +32,6 @@ from narayana.posets import (
     verify_order_gf,
     _assignment_count,
     _series_value,
-    _slot_width,
 )
 
 
@@ -271,30 +269,6 @@ class TestEulerianDP:
     @example(antichain_poset(0))
     def test_matches_the_extension_tally_on_random_posets(self, poset):
         assert eulerian_polynomial(poset) == _extension_tally(poset)
-
-    def test_slot_width_is_the_multinomial_of_a_chain_cover(self):
-        # p one-element chains: the width of p!
-        for p in (0, 1, 5, 12, 13, 20):
-            assert _slot_width(antichain_poset(p)) == factorial(p).bit_length()
-        # one chain: one extension, one bit, and the same polynomial
-        assert _slot_width(chain_poset(40)) == 1
-        assert eulerian_polynomial(chain_poset(40)) == IntPolynomial([1])
-        reversed_chain = chain_poset(40, labels=range(40, 0, -1))
-        assert _slot_width(reversed_chain) == 1
-        assert eulerian_polynomial(reversed_chain) == IntPolynomial([0] * 39 + [1])
-
-    def test_narrow_slots_give_the_polynomial_of_p_factorial_slots(self, monkeypatch):
-        posets = [
-            poset
-            for shape in enumerate_partitions(13)
-            for poset in (ferrers_poset(shape), column_strict_ferrers_poset(shape))
-        ]
-        assert all(_slot_width(poset) < factorial(13).bit_length() for poset in posets)
-        narrow = [eulerian_polynomial(poset) for poset in posets]
-        monkeypatch.setattr(
-            posets_module, "_slot_width", lambda poset: factorial(poset.size).bit_length()
-        )
-        assert narrow == [eulerian_polynomial(poset) for poset in posets]
 
     def test_ideal_budget_fails_at_once(self):
         start = time.perf_counter()
