@@ -52,8 +52,9 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# suite: (default ceiling, hard cap); ordergf counts order polynomials by
-# brute force and takes that engine's element cap; the others enumerate
+# suite: (default ceiling, hard cap); ordergf counts order polynomials as
+# chains of order ideals (a transfer matrix) against the Eulerian series and
+# takes the element cap that bounds the matrix; the others enumerate
 # nothing and take the cell cap (theorem21 runs the word DP against the
 # closed form, sulanke the word DP against the tableau DP, eq33 the tableau
 # DP against the closed form; both DPs are posets.eulerian_polynomial)

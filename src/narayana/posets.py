@@ -13,8 +13,12 @@ extensions; it is the package's only descent DP, and ``generating`` runs it
 on labeled Ferrers posets for the tableau and word tallies.
 ``linear_extensions`` and ``jordan_holder_set`` remain as the enumerators it
 is tested against, capped at DEFAULT_MAX_EXTENSION_ELEMENTS.
-Order polynomial values come from assignment search up to
-DEFAULT_MAX_BRUTE_ELEMENTS elements and from the Eulerian series above that.
+Order polynomial values come from the Eulerian series at every size.
+``verify_order_gf`` checks the series against a second engine, a transfer
+matrix over chains of order ideals built from the listed covers and labels
+alone, on posets of up to DEFAULT_MAX_BRUTE_ELEMENTS elements, which bounds
+its steps at 3^8. ``_assignment_count``, a backtracking search over the
+maps themselves, is kept only as the reference the tests compare both with.
 """
 
 from __future__ import annotations
@@ -332,6 +336,8 @@ def eulerian_polynomial(poset: LabeledPoset) -> IntPolynomial:
 
 
 def _assignment_count(poset: LabeledPoset, n: int) -> int:
+    # The reference that the tests compare ``_ideal_chain_counts`` and the
+    # series with; no command runs it.
     # Elements are processed in a topological order, so when an element is
     # placed all of its lower covers already hold values and give an upper
     # bound (off by one across strict drops). Elements nothing depends on
@@ -382,25 +388,92 @@ def _series_value(poset: LabeledPoset, n: int, w: IntPolynomial | None = None) -
     return sum(c * comb(k - j + p, p) for j, c in enumerate(w.coefficients))
 
 
+def _cover_masks(poset: LabeledPoset) -> tuple[list[int], list[int]]:
+    """Entry e of the first list is the bitmask of e's listed lower covers;
+    entry e of the second keeps those whose label exceeds e's, the covers
+    that may not share a level with e (entry 0 of each is unused)."""
+    lower = [0] * (poset.size + 1)
+    inverted = [0] * (poset.size + 1)
+    labels = poset.labels
+    for a, b in poset.covers:
+        lower[b] |= 1 << a
+        if labels[a - 1] > labels[b - 1]:
+            inverted[b] |= 1 << a
+    return lower, inverted
+
+
+def _ideal_chain_counts(poset: LabeledPoset, terms: int) -> tuple[int, ...]:
+    """Order polynomial values at n = 1..terms+1, from one transfer matrix.
+
+    A map counted by ``order_polynomial_value`` is a chain of order ideals
+    0 = J_0 <= J_1 <= ... <= J_n = P, with J_i the elements whose value is at
+    least n+1-i (the (P, w)-partitions of Stanley, EC1 3.15). A step from I
+    to J is allowed when the level J - I holds no listed pair (a, b) with
+    label(a) > label(b), so the value at n counts the n-step walks from the
+    empty ideal to P, and each pass of one vector over the step lists gives
+    the next n. A step is a pair of nested subsets, so there are at most 3^p.
+
+    Ideals and steps come from the listed covers, the labels and the
+    topological order alone, not from the transitive closure or the ideal
+    DP of ``eulerian_polynomial``, so the two engines stay independent.
+    """
+    lower, inverted = _cover_masks(poset)
+    order = poset._topological_order
+    # an element joins an ideal once its listed lower covers are all in it
+    index = {0: 0}
+    ideals = [0]
+    for ideal in ideals:
+        for e in order:
+            if not ideal >> e & 1 and not lower[e] & ~ideal:
+                grown = ideal | 1 << e
+                if grown not in index:
+                    index[grown] = len(ideals)
+                    ideals.append(grown)
+    # sources[j]: every ideal with a step to ideal j, itself included; the
+    # targets of an ideal grow element by element in topological order, so
+    # each element's lower covers are settled when it is offered
+    sources: list[list[int]] = [[] for _ in ideals]
+    for i, ideal in enumerate(ideals):
+        targets = [ideal]
+        for e in order:
+            if ideal >> e & 1:
+                continue
+            bit = 1 << e
+            targets += [
+                target | bit
+                for target in targets
+                if not lower[e] & ~target and not inverted[e] & target & ~ideal
+            ]
+        for target in targets:
+            sources[index[target]].append(i)
+    top = index[(1 << poset.size + 1) - 2]
+    counts = [1] + [0] * (len(ideals) - 1)
+    values = []
+    for _ in range(terms + 1):
+        counts = [sum([counts[i] for i in each]) for each in sources]
+        values.append(counts[top])
+    return tuple(values)
+
+
 def order_polynomial_value(poset: LabeledPoset, n: int) -> int:
     """Number of maps from the elements into {1..n} that weakly drop along
     the order and strictly drop across label inversions.
 
-    Posets of up to DEFAULT_MAX_BRUTE_ELEMENTS elements are counted by
-    assignment search with bound propagation; larger ones by expanding the
-    Eulerian numerator against binomials. The two engines are independent
-    and cross-validate each other in ``verify_order_gf``.
+    Computed at every size by expanding the Eulerian numerator against
+    binomials, in O(p) once ``eulerian_polynomial`` is known.
+    ``verify_order_gf`` checks that expansion against the ideal-chain
+    transfer matrix; the assignment search ``_assignment_count`` is the
+    reference the tests compare both with.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if poset.size <= DEFAULT_MAX_BRUTE_ELEMENTS:
-        return _assignment_count(poset, n)
     return _series_value(poset, n)
 
 
 def _check_brute_cap(poset: LabeledPoset) -> None:
     """Raise ``BudgetExceededError`` when the poset has more elements than
-    the assignment search of ``verify_order_gf`` is allowed to count."""
+    ``verify_order_gf`` counts ideal chains for; the cap holds the transfer
+    matrix to at most 3^8 steps."""
     if poset.size > DEFAULT_MAX_BRUTE_ELEMENTS:
         raise BudgetExceededError(
             f"poset has {poset.size} elements, brute-force cap is {DEFAULT_MAX_BRUTE_ELEMENTS}"
@@ -408,18 +481,19 @@ def _check_brute_cap(poset: LabeledPoset) -> None:
 
 
 def verify_order_gf(poset: LabeledPoset, terms: int = 10) -> IdentityReport:
-    """Check that brute-force order polynomial values agree with the series
-    expansion of the Eulerian numerator over (1-t)^(p+1).
+    """Check that order polynomial values counted as ideal chains agree with
+    the series expansion of the Eulerian numerator over (1-t)^(p+1).
 
-    Compares the count at argument k+1 with sum_j w_j * C(k-j+p, p) for
-    0 <= k <= terms, exactly.
+    Compares the chain count at argument k+1 (``_ideal_chain_counts``) with
+    sum_j w_j * C(k-j+p, p) for 0 <= k <= terms, exactly. The chains read
+    only the listed covers, the labels and the topological order; the series
+    comes from the ideal DP over the transitive closure.
     """
     _check_brute_cap(poset)
     w = eulerian_polynomial(poset)
-    # within the cap, order_polynomial_value is the assignment search
-    brute = tuple(order_polynomial_value(poset, k + 1) for k in range(terms + 1))
+    chains = _ideal_chain_counts(poset, terms)
     series = tuple(_series_value(poset, k + 1, w) for k in range(terms + 1))
-    return compare_sequences(f"order series p={poset.size}", brute, series)
+    return compare_sequences(f"order series p={poset.size}", chains, series)
 
 
 def verify_ferrers_eulerian_identity(

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from narayana import posets
 from narayana.cli import main
 from narayana.generating import IdentityReport
 from narayana.posets import LabeledPoset, antichain_poset, chain_poset
@@ -317,6 +318,28 @@ class TestVerify:
             "suite theorem21: 0/3 passed",
             f"first counterexample: theorem21 n=1 m=1: {details[(1, 1)]}",
         ]
+
+    def test_step_rule_fault_is_a_counterexample(self, capsys, monkeypatch):
+        # a transfer matrix that lets a label inversion share a level counts
+        # too many maps on every poset with an inverted cover
+        cover_masks = posets._cover_masks
+
+        def ignore_inversions(poset):
+            lower, inverted = cover_masks(poset)
+            return lower, [0] * len(inverted)
+
+        monkeypatch.setattr("narayana.posets._cover_masks", ignore_inversions)
+        code, out, _ = run(capsys, "verify", "--suite", "ordergf", "--max-cells", "4")
+        assert code == 1
+        lines = out.splitlines()
+        failed = [line.split(":")[0] for line in lines if ": FAIL (" in line]
+        # a one-row shape and the antichain have no inverted cover
+        assert failed == [
+            f"ordergf shape={shape} terms=10"
+            for shape in ("1,1", "2,1", "1,1,1", "3,1", "2,2", "2,1,1", "1,1,1,1")
+        ]
+        assert lines[-2] == "suite ordergf: 5/12 passed"
+        assert lines[-1].startswith("first counterexample: ordergf shape=1,1 terms=10: ")
 
     def test_verify_writes_no_cache_file(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"

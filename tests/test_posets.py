@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import permutations
 from math import comb, factorial, prod
@@ -31,6 +32,7 @@ from narayana.posets import (
     verify_ferrers_eulerian_identity,
     verify_order_gf,
     _assignment_count,
+    _ideal_chain_counts,
     _series_value,
 )
 
@@ -340,7 +342,7 @@ class TestOrderPolynomial:
     def test_series_above_the_brute_force_cap(self):
         with pytest.raises(ValueError, match="nonnegative"):
             order_polynomial_value(chain_poset(2), -1)
-        # nine elements is past the brute-force cap, so the series answers
+        # nine elements is past the cap of verify_order_gf; the series answers at every size
         assert order_polynomial_value(chain_poset(9), 2) == 10
 
     def test_hook_content_oracle_matches_assignment_search(self):
@@ -382,3 +384,80 @@ class TestOrderSeriesIdentity:
 
     def test_empty_poset(self):
         assert verify_order_gf(antichain_poset(0), terms=4)
+
+
+def _scrambled_posets(count: int, seed: int = 14) -> list[LabeledPoset]:
+    """Seeded random labeled posets of at most 8 elements. Relations are
+    drawn between ranks r < s and given to shuffled ids, so topological
+    order and id order differ; a drawn pair that other drawn pairs already
+    imply stays listed."""
+    rng = random.Random(seed)
+    posets = []
+    for _ in range(count):
+        size = rng.randint(0, 8)
+        ids = rng.sample(range(1, size + 1), size)
+        density = rng.random()
+        covers = tuple(
+            (ids[r], ids[s])
+            for r in range(size)
+            for s in range(r + 1, size)
+            if rng.random() < density
+        )
+        posets.append(LabeledPoset(size, covers, tuple(rng.sample(range(1, size + 1), size))))
+    return posets
+
+
+def _implied(poset: LabeledPoset, a: int, b: int) -> bool:
+    return any(
+        poset.leq(a, c) and poset.leq(c, b) for c in range(1, poset.size + 1) if c not in (a, b)
+    )
+
+
+class TestIdealChainCounts:
+    """The transfer matrix against the assignment search and the series."""
+
+    @staticmethod
+    def _agree(poset: LabeledPoset) -> None:
+        chains = _ideal_chain_counts(poset, 10)
+        assert len(chains) == 11
+        for n in range(0, 12):
+            brute = _assignment_count(poset, n)
+            assert brute == _series_value(poset, n), (poset.canonical_key(), n)
+            expected = int(poset.size == 0) if n == 0 else chains[n - 1]
+            assert brute == expected, (poset.canonical_key(), n)
+
+    def test_every_ferrers_poset_up_to_8_cells(self):
+        shapes = [shape for total in range(1, 9) for shape in enumerate_partitions(total)]
+        assert len(shapes) == 66
+        for shape in shapes:
+            self._agree(column_strict_ferrers_poset(shape))
+            self._agree(ferrers_poset(shape))
+
+    def test_chains_and_antichains(self):
+        for size in range(9):
+            self._agree(chain_poset(size))
+            self._agree(antichain_poset(size))
+            self._agree(chain_poset(size, labels=range(size, 0, -1)))
+        assert _ideal_chain_counts(antichain_poset(8), 2) == (1, 2**8, 3**8)
+
+    def test_scrambled_random_posets(self):
+        posets = _scrambled_posets(320)
+        scrambled = sum(p._topological_order != tuple(range(1, p.size + 1)) for p in posets)
+        implied = [
+            p.labels[a - 1] > p.labels[b - 1]
+            for p in posets
+            for a, b in p.covers
+            if _implied(p, a, b)
+        ]
+        assert scrambled >= 150 and implied.count(True) >= 300 and implied.count(False) >= 300
+        for poset in posets:
+            self._agree(poset)
+
+    def test_zero_terms_and_the_empty_poset(self):
+        diamond = column_strict_ferrers_poset(Partition((2, 2)))
+        assert _ideal_chain_counts(diamond, 0) == (0,)
+        assert _ideal_chain_counts(chain_poset(3), 0) == (1,)
+        assert _ideal_chain_counts(antichain_poset(0), 0) == (1,)
+        assert _ideal_chain_counts(antichain_poset(0), 6) == (1,) * 7
+        assert verify_order_gf(diamond, terms=0)
+        assert verify_order_gf(antichain_poset(0), terms=0)
