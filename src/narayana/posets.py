@@ -406,7 +406,7 @@ def _ideal_chain_counts(poset: LabeledPoset, terms: int) -> tuple[int, ...]:
     """Order polynomial values at n = 1..terms+1, from one transfer matrix.
 
     A map counted by ``order_polynomial_value`` is a chain of order ideals
-    0 = J_0 <= J_1 <= ... <= J_n = P, with J_i the elements whose value is at
+    {} = J_0 <= J_1 <= ... <= J_n = P, with J_i the elements whose value is at
     least n+1-i (the (P, w)-partitions of Stanley, EC1 3.15). A step from I
     to J is allowed when the level J - I holds no listed pair (a, b) with
     label(a) > label(b), so the value at n counts the n-step walks from the
