@@ -38,9 +38,9 @@ from .generating import (
 )
 from .polynomials import IntPolynomial, is_log_concave, is_real_rooted, is_unimodal, newton_inequalities_hold
 from .posets import (
-    DEFAULT_MAX_BRUTE_ELEMENTS,
+    DEFAULT_MAX_CHAIN_ELEMENTS,
     LabeledPoset,
-    _check_brute_cap,
+    _check_chain_cap,
     antichain_poset,
     column_strict_ferrers_poset,
     verify_ferrers_eulerian_identity,
@@ -52,17 +52,17 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# suite: (default ceiling, hard cap); ordergf counts order polynomials as
-# chains of order ideals (a transfer matrix) against the Eulerian series and
-# takes the element cap that bounds the matrix; the others enumerate
-# nothing and take the cell cap (theorem21 runs the word DP against the
-# closed form, sulanke the word DP against the tableau DP, eq33 the tableau
-# DP against the closed form; both DPs are posets.eulerian_polynomial)
+# suite: (default ceiling, hard cap on the sweep); ordergf counts order
+# polynomials as ideal chains (a transfer matrix) against the Eulerian series
+# up to the element cap that bounds the matrix; the others enumerate nothing
+# and sweep up to the cell cap (theorem21: word DP vs closed form, sulanke:
+# word DP vs tableau DP, eq33: tableau DP vs closed form; both DPs are
+# posets.eulerian_polynomial, bounded by its ideal cap alone)
 SUITES = {
     "theorem21": (16, DEFAULT_MAX_CELLS),
     "sulanke": (16, DEFAULT_MAX_CELLS),
     "eq33": (10, DEFAULT_MAX_CELLS),
-    "ordergf": (7, DEFAULT_MAX_BRUTE_ELEMENTS),
+    "ordergf": (7, DEFAULT_MAX_CHAIN_ELEMENTS),
 }
 
 FORMAT_CHOICES = {"poly": ("plain", "json", "csv"), "analyze": ("plain", "json")}
@@ -237,7 +237,7 @@ def _analysis_flags(poly: IntPolynomial) -> dict:
 
 
 def cmd_poly(args) -> int:
-    # before the hook-length count, which builds the rectangle
+    # poly's one cap, on the degree certified; before the rectangle is built
     _check_budget(args.n * args.m, args.max_cells)
     cache = PolynomialCache(args.cache, enabled=not args.no_cache, version=__version__)
     key = narayana_key(args.n, args.m)
@@ -248,7 +248,7 @@ def cmd_poly(args) -> int:
         coefficients = None
     computed = coefficients is None
     if computed:
-        poly = narayana_polynomial(args.n, args.m, max_cells=args.max_cells)
+        poly = narayana_polynomial(args.n, args.m)
     else:
         poly = IntPolynomial(coefficients)
     flags = _analysis_flags(poly)
@@ -312,7 +312,7 @@ def _cases(suite: str, cells: int, terms: int, poset: LabeledPoset | None) -> li
     check is a module-level library function, so a case pickles by reference."""
     if suite in ("theorem21", "sulanke"):
         check = verify_tableau_identity if suite == "theorem21" else verify_sulanke_equidistribution
-        return [(f"n={n} m={m}", check, (n, m, n * m))
+        return [(f"n={n} m={m}", check, (n, m))
                 for n in range(1, cells + 1) for m in range(1, cells // n + 1)]
     if suite == "ordergf" and poset is not None:
         return [(f"poset p={poset.size} terms={terms}", verify_order_gf, (poset, terms))]
@@ -341,7 +341,7 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             return _usage_error(f"invalid poset file {args.poset}: {exc}")
         # before any suite runs, so an oversized file prints no case lines
-        _check_brute_cap(poset)
+        _check_chain_cap(poset)
     first_failure = None
     for suite in suites:
         default, cap = SUITES[suite]

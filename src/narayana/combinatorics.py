@@ -24,10 +24,9 @@ _SUFFIX_SYMBOLS = 6
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an input exceeds its configured size cap: the cell cap of
-    the enumerators and of ``narayana_polynomial`` (which enumerates nothing;
-    there the cap bounds the degree handed to the certifier), or an element
-    cap of the poset engines."""
+    """Raised when an input exceeds the one budget of its engine: the cell cap
+    of the enumerators (``poly`` applies it to bound the degree certified), the
+    order-ideal cap of the Eulerian DP, or an element cap of a poset engine."""
 
 
 def _check_budget(cells: int, max_cells: int | None) -> None:

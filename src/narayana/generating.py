@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .combinatorics import (Partition, _check_budget, _descent_closed_form, _pair_count,
-                            syt_count_hook)
+from .combinatorics import Partition, _descent_closed_form, _pair_count, syt_count_hook
 from .polynomials import IdentityReport, IntPolynomial, compare_sequences
 from .posets import column_strict_ferrers_poset, eulerian_polynomial, ferrers_poset
 
@@ -33,7 +32,7 @@ def _tally(words: Iterable[Sequence[int]], length: int, compare) -> list[int]:
     return tallies
 
 
-def narayana_polynomial(n: int, m: int, max_cells: int | None = None) -> IntPolynomial:
+def narayana_polynomial(n: int, m: int) -> IntPolynomial:
     """Descent generating function over all lattice words with m symbols,
     each used n times.
 
@@ -44,38 +43,30 @@ def narayana_polynomial(n: int, m: int, max_cells: int | None = None) -> IntPoly
     Computed without enumeration: by the tableau identity it is the descent
     polynomial of the m-by-n rectangle divided by t^(m-1), and that
     polynomial has a closed form (EC2 Prop. 7.19.12 with the hook-content
-    formula, EC2 Cor. 7.21.4). The cell budget still applies, as a bound on
-    the degree handed to the certifier.
+    formula, EC2 Cor. 7.21.4) in O(p^2) integer operations for p cells.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    _check_budget(n * m, max_cells)
     if n == 0 or m == 0:
         return IntPolynomial([1])
     return IntPolynomial(_descent_closed_form(Partition.rectangle(n, m))[m - 1 :])
 
 
-def syt_descent_polynomial(shape: Partition, max_cells: int | None = None) -> IntPolynomial:
+def syt_descent_polynomial(shape: Partition) -> IntPolynomial:
     """Descent generating function over all standard fillings of the shape,
     by eq. (3.3) the Eulerian polynomial of its column-strict labeled Ferrers
     poset. Coefficient of t^k counts the tableaux in which exactly k entries
-    have their successor in a strictly lower row.
-
-    Behaviour change from the former ballot-prefix DP: the poset DP's ideal
-    cap applies too, so the 9-by-9 rectangle (48,620 ideals) now raises
-    ``BudgetExceededError``; ``narayana_polynomial`` reaches it by the
-    closed form.
+    have their successor in a strictly lower row. Bounded by the DP's ideal
+    cap alone.
     """
-    _check_budget(shape.cells, max_cells)
     return eulerian_polynomial(column_strict_ferrers_poset(shape))
 
 
-def _shifted_word_descents(n: int, m: int, max_cells: int | None) -> IntPolynomial:
+def _shifted_word_descents(n: int, m: int) -> IntPolynomial:
     """t^(m-1) (1 for an empty rectangle) times the word descent polynomial
     of weight (n, m): the Eulerian polynomial of the naturally labeled m-by-n
     Ferrers poset, whose linear extensions spell the lattice words by their
     rows, with label descents exactly at word descents."""
-    _check_budget(n * m, max_cells)
     rectangle = Partition.rectangle(n, m)
     return eulerian_polynomial(ferrers_poset(rectangle)).shift(max(rectangle.rows - 1, 0))
 
@@ -86,21 +77,17 @@ def rectangular_catalan(n: int, m: int) -> int:
     return syt_count_hook(Partition.rectangle(n, m))
 
 
-def verify_tableau_identity(
-    n: int, m: int, max_cells: int | None = None
-) -> IdentityReport:
+def verify_tableau_identity(n: int, m: int) -> IdentityReport:
     """Check Theorem 2.1, coefficient by coefficient: the word descent
     polynomial times t^(m-1) equals the tableau descent polynomial of the
     m-by-n rectangle. The left side is the word DP, the right side the closed
     form of :func:`narayana_polynomial`: two independent computations."""
-    left = _shifted_word_descents(n, m, max_cells).coefficients
+    left = _shifted_word_descents(n, m).coefficients
     right = IntPolynomial(_descent_closed_form(Partition.rectangle(n, m))).coefficients
     return compare_sequences(f"tableau identity n={n} m={m}", left, right)
 
 
-def verify_sulanke_equidistribution(
-    n: int, m: int, max_cells: int | None = None
-) -> IdentityReport:
+def verify_sulanke_equidistribution(n: int, m: int) -> IdentityReport:
     """Check Sulanke's equidistribution on ballot paths: the ascent generating
     function equals the descent generating function shifted down by m-1.
 
@@ -110,6 +97,6 @@ def verify_sulanke_equidistribution(
     the right side the tableau DP: one kernel on two labelings that order
     every pair of rows oppositely.
     """
-    left = _shifted_word_descents(n, m, max_cells).coefficients
-    right = syt_descent_polynomial(Partition.rectangle(n, m), max_cells).coefficients
+    left = _shifted_word_descents(n, m).coefficients
+    right = syt_descent_polynomial(Partition.rectangle(n, m)).coefficients
     return compare_sequences(f"path equidistribution n={n} m={m}", left, right)

@@ -7,18 +7,17 @@ one bitmask of strictly smaller elements per element. Ferrers posets (cells
 of a partition under the componentwise order) with column-strict labelings
 are the family of main interest.
 
-Eulerian polynomials come from one dynamic program over the order ideals,
-budgeted by their number (DEFAULT_MAX_IDEALS), not from the linear
-extensions; it is the package's only descent DP, and ``generating`` runs it
-on labeled Ferrers posets for the tableau and word tallies.
+Each engine has one fixed budget, a constant here. Eulerian polynomials
+come from one dynamic program over the order ideals, bounded by their number
+(DEFAULT_MAX_IDEALS); it is the package's only descent DP, and ``generating``
+runs it on labeled Ferrers posets for the tableau and word tallies.
 ``linear_extensions`` and ``jordan_holder_set`` remain as the enumerators it
-is tested against, capped at DEFAULT_MAX_EXTENSION_ELEMENTS.
-Order polynomial values come from the Eulerian series at every size.
-``verify_order_gf`` checks the series against a second engine, a transfer
-matrix over chains of order ideals built from the listed covers and labels
-alone, on posets of up to DEFAULT_MAX_BRUTE_ELEMENTS elements, which bounds
-its steps at 3^8. ``_assignment_count``, a backtracking search over the
-maps themselves, is kept only as the reference the tests compare both with.
+is tested against, up to DEFAULT_MAX_EXTENSION_ELEMENTS elements. Order
+polynomial values come from the Eulerian series at every size;
+``verify_order_gf`` checks it against a transfer matrix over chains of order
+ideals built from the listed covers and labels alone, on at most
+DEFAULT_MAX_CHAIN_ELEMENTS elements (3^8 steps). ``_assignment_count``, a
+backtracking search over the maps, is only the tests' reference for both.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .combinatorics import BudgetExceededError, Partition, _descent_closed_form
 from .polynomials import IdentityReport, IntPolynomial, compare_sequences
 
 DEFAULT_MAX_EXTENSION_ELEMENTS = 12
-DEFAULT_MAX_BRUTE_ELEMENTS = 8
+DEFAULT_MAX_CHAIN_ELEMENTS = 8
 DEFAULT_MAX_IDEALS = 2**14
 
 
@@ -135,9 +134,9 @@ class LabeledPoset:
     @classmethod
     def from_dict(cls, data: dict) -> "LabeledPoset":
         try:
-            size = int(data["size"])
-            covers = tuple((int(a), int(b)) for a, b in data["covers"])
-            labels = tuple(int(v) for v in data["labels"])
+            size = _json_int(data["size"])
+            covers = tuple((_json_int(a), _json_int(b)) for a, b in data["covers"])
+            labels = tuple(_json_int(v) for v in data["labels"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid poset description: {exc}") from exc
         return cls(size, covers, labels)
@@ -152,6 +151,12 @@ class LabeledPoset:
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid poset description: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:  # JSON true and false load as bool, an int subclass
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def chain_poset(size: int, labels: Sequence[int] | None = None) -> LabeledPoset:
@@ -232,21 +237,14 @@ def column_strict_ferrers_poset(
     return LabeledPoset(shape.cells, tuple(_ferrers_covers(shape)), flat)
 
 
-def linear_extensions(
-    poset: LabeledPoset, max_elements: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def linear_extensions(poset: LabeledPoset) -> Iterator[tuple[int, ...]]:
     """Every order-compatible arrangement of the elements, exactly once,
     ordered lexicographically by element id."""
-    cap = DEFAULT_MAX_EXTENSION_ELEMENTS if max_elements is None else max_elements
-    if poset.size > cap:
+    if poset.size > DEFAULT_MAX_EXTENSION_ELEMENTS:
         raise BudgetExceededError(
-            f"poset has {poset.size} elements, extension cap is {cap} "
-            f"(override with max_elements)"
+            f"poset has {poset.size} elements, extension cap is {DEFAULT_MAX_EXTENSION_ELEMENTS}"
         )
     p = poset.size
-    if p == 0:
-        yield ()
-        return
     below = poset._below
     prefix: list[int] = []
 
@@ -267,13 +265,11 @@ def linear_extensions(
     yield from extend(0)
 
 
-def jordan_holder_set(
-    poset: LabeledPoset, max_elements: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def jordan_holder_set(poset: LabeledPoset) -> Iterator[tuple[int, ...]]:
     """Permutations obtained by reading the labels along each linear
     extension; in bijection with the extensions."""
     labels = poset.labels
-    for extension in linear_extensions(poset, max_elements):
+    for extension in linear_extensions(poset):
         yield tuple(labels[e - 1] for e in extension)
 
 
@@ -378,14 +374,11 @@ def _assignment_count(poset: LabeledPoset, n: int) -> int:
     return count_from(0)
 
 
-def _series_value(poset: LabeledPoset, n: int, w: IntPolynomial | None = None) -> int:
-    if w is None:
-        w = eulerian_polynomial(poset)
-    p = poset.size
+def _series_value(w: IntPolynomial, p: int, n: int) -> int:
+    """Order polynomial at n of a p-element poset with Eulerian polynomial w."""
     if n == 0:
-        return 1 if p == 0 else 0
-    k = n - 1
-    return sum(c * comb(k - j + p, p) for j, c in enumerate(w.coefficients))
+        return int(p == 0)
+    return sum(c * comb(n - 1 - j + p, p) for j, c in enumerate(w.coefficients))
 
 
 def _cover_masks(poset: LabeledPoset) -> tuple[list[int], list[int]]:
@@ -467,16 +460,16 @@ def order_polynomial_value(poset: LabeledPoset, n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _series_value(poset, n)
+    return _series_value(eulerian_polynomial(poset), poset.size, n)
 
 
-def _check_brute_cap(poset: LabeledPoset) -> None:
+def _check_chain_cap(poset: LabeledPoset) -> None:
     """Raise ``BudgetExceededError`` when the poset has more elements than
     ``verify_order_gf`` counts ideal chains for; the cap holds the transfer
     matrix to at most 3^8 steps."""
-    if poset.size > DEFAULT_MAX_BRUTE_ELEMENTS:
+    if poset.size > DEFAULT_MAX_CHAIN_ELEMENTS:
         raise BudgetExceededError(
-            f"poset has {poset.size} elements, brute-force cap is {DEFAULT_MAX_BRUTE_ELEMENTS}"
+            f"poset has {poset.size} elements, the ideal-chain cap is {DEFAULT_MAX_CHAIN_ELEMENTS}"
         )
 
 
@@ -489,10 +482,10 @@ def verify_order_gf(poset: LabeledPoset, terms: int = 10) -> IdentityReport:
     only the listed covers, the labels and the topological order; the series
     comes from the ideal DP over the transitive closure.
     """
-    _check_brute_cap(poset)
+    _check_chain_cap(poset)
     w = eulerian_polynomial(poset)
     chains = _ideal_chain_counts(poset, terms)
-    series = tuple(_series_value(poset, k + 1, w) for k in range(terms + 1))
+    series = tuple(_series_value(w, poset.size, k + 1) for k in range(terms + 1))
     return compare_sequences(f"order series p={poset.size}", chains, series)
 
 

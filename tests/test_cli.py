@@ -302,7 +302,7 @@ class TestVerify:
         assert (serial, serial_err) == (parallel, parallel_err)
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
-        def failing(n, m, max_cells=None):
+        def failing(n, m):
             return IdentityReport(False, f"fake n={n} m={m}", (1, 2), (1, 3), 1)
 
         monkeypatch.setattr("narayana.cli.verify_tableau_identity", failing)
@@ -363,7 +363,7 @@ class TestVerify:
 
     def test_oversized_poset_file_hits_the_cap_at_once(self, capsys, tmp_path, monkeypatch):
         def enumerated(*_):
-            raise AssertionError("linear extensions enumerated past the brute-force cap")
+            raise AssertionError("the Eulerian DP ran past the ideal-chain cap")
 
         monkeypatch.setattr("narayana.posets.eulerian_polynomial", enumerated)
         path = tmp_path / "poset.json"
@@ -371,7 +371,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "ordergf", "--poset", str(path))
         assert code == 3
         assert out == ""
-        assert err == "error: poset has 9 elements, brute-force cap is 8\n"
+        assert err == "error: poset has 9 elements, the ideal-chain cap is 8\n"
         assert "max_brute_elements" not in err
 
     def test_oversized_poset_file_stops_all_suites_before_any_runs(self, capsys, tmp_path):
@@ -380,7 +380,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "all", "--poset", str(path))
         assert code == 3
         assert out == ""
-        assert err == "error: poset has 9 elements, brute-force cap is 8\n"
+        assert err == "error: poset has 9 elements, the ideal-chain cap is 8\n"
 
     def test_eq33_sweeps_past_the_extension_cap(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "eq33", "--max-cells", "14")
@@ -407,6 +407,36 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "bad,good",
+        [({"size": True, "covers": [], "labels": [1.9]},
+          {"size": 1, "covers": [], "labels": [1]}),
+         ({"size": 2, "covers": [], "labels": ["1", "2"]},
+          {"size": 2, "covers": [], "labels": [1, 2]}),
+         ({"size": 2, "covers": [], "labels": "12"},
+          {"size": 2, "covers": [], "labels": [1, 2]}),
+         ({"size": 2, "covers": [[1.5, 2]], "labels": [1, 2]},
+          {"size": 2, "covers": [[1, 2]], "labels": [1, 2]}),
+         ({"size": 2, "covers": [[True, 2]], "labels": [1, 2]},
+          {"size": 2, "covers": [[1, 2]], "labels": [1, 2]}),
+         ({"size": 2.0, "covers": [], "labels": [2, 1]},
+          {"size": 2, "covers": [], "labels": [2, 1]})],
+        ids=["bool-size-float-label", "string-labels", "label-string", "float-cover",
+             "bool-cover", "float-size"],
+    )
+    def test_poset_file_takes_only_json_integers(self, capsys, tmp_path, bad, good):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "verify", "--suite", "ordergf", "--poset", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: invalid poset file {path}: ") and err.count("\n") == 1
+        path.write_text(json.dumps(good))
+        code, out, err = run(capsys, "verify", "--suite", "ordergf", "--poset", str(path))
+        assert code == 0
+        assert out.startswith(f"ordergf poset p={good['size']} terms=10: PASS\n")
+        assert err == ""
 
     @pytest.mark.parametrize("suite", ["theorem21", "sulanke", "eq33"])
     def test_poset_outside_ordergf_is_a_usage_error(self, capsys, tmp_path, suite):

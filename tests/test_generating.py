@@ -115,7 +115,7 @@ def test_closed_form_is_palindromic_and_counts_tableaux_up_to_64_cells():
         for m in range(65):
             if n * m > 64:
                 continue
-            coeffs = narayana_polynomial(n, m, max_cells=n * m).coefficients
+            coeffs = narayana_polynomial(n, m).coefficients
             assert coeffs == tuple(reversed(coeffs)), (n, m)
             assert sum(coeffs) == rectangular_catalan(n, m), (n, m)
 
@@ -146,18 +146,32 @@ def test_tableau_dp_reaches_the_8_by_8_rectangle():
     # 12,870 order ideals, inside DEFAULT_MAX_IDEALS
     shape = Partition.rectangle(8, 8)
     expected = IntPolynomial(_descent_closed_form(shape))
-    assert syt_descent_polynomial(shape, max_cells=64) == expected
+    assert syt_descent_polynomial(shape) == expected
 
 
 def test_tableau_dp_refuses_the_9_by_9_rectangle_by_its_ideal_cap():
-    # 48,620 order ideals: the ideal cap now bounds syt_descent_polynomial
-    # too, while narayana_polynomial reaches 9-by-9 by the closed form
+    # 48,620 order ideals: the ideal cap, the DP's one budget, refuses it,
+    # while narayana_polynomial reaches 9-by-9 by the closed form
     shape = Partition.rectangle(9, 9)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="the ideal cap"):
-        syt_descent_polynomial(shape, max_cells=81)
+        syt_descent_polynomial(shape)
     assert time.perf_counter() - start < 2.0
-    assert narayana_polynomial(9, 9, max_cells=81)(1) == rectangular_catalan(9, 9)
+    assert narayana_polynomial(9, 9)(1) == rectangular_catalan(9, 9)
+
+
+@pytest.mark.parametrize("n,m", [(5, 5), (6, 5)])
+def test_engines_reach_past_the_cell_cap_without_an_override(n, m):
+    # 25 and 30 cells: the closed form has no cap, and the two DPs are
+    # bounded by their ideal cap alone (252 and 462 ideals)
+    shape = Partition.rectangle(n, m)
+    closed = IntPolynomial(_descent_closed_form(shape))
+    assert narayana_polynomial(n, m).shift(m - 1) == closed
+    assert syt_descent_polynomial(shape) == closed
+    for check in (verify_tableau_identity, verify_sulanke_equidistribution):
+        report = check(n, m)
+        assert report, report.detail()
+        assert report.right == closed.coefficients, check.__name__
 
 
 @pytest.mark.parametrize("n,m", [(0, 0), (0, 3), (3, 0)])

@@ -405,7 +405,7 @@ def test_palindromic_route_accepts_and_declines():
 def test_every_narayana_polynomial_up_to_100_cells_certifies():
     for n in range(1, 101):
         for m in range(1, 100 // n + 1):
-            poly = narayana_polynomial(n, m, max_cells=100)
+            poly = narayana_polynomial(n, m)
             certificate = is_real_rooted(poly)
             assert certificate.real_rooted, (n, m)
             assert certificate.distinct_real_roots == poly.degree, (n, m)

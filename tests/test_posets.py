@@ -33,7 +33,6 @@ from narayana.posets import (
     verify_order_gf,
     _assignment_count,
     _ideal_chain_counts,
-    _series_value,
 )
 
 
@@ -166,7 +165,6 @@ class TestLinearExtensions:
     def test_budget(self):
         with pytest.raises(BudgetExceededError, match="cap"):
             next(linear_extensions(antichain_poset(13)))
-        assert next(linear_extensions(antichain_poset(13), max_elements=13)) is not None
 
     @pytest.mark.parametrize("parts", [(2, 1), (3, 2), (2, 2, 1), (4, 2, 1)])
     def test_ferrers_extension_count_is_the_tableau_count(self, parts):
@@ -335,11 +333,11 @@ class TestOrderPolynomial:
             column_strict_ferrers_poset(Partition((2, 2, 1))),
         ):
             for n in range(0, 7):
-                assert _assignment_count(poset, n) == _series_value(poset, n), (
+                assert _assignment_count(poset, n) == order_polynomial_value(poset, n), (
                     poset.canonical_key(), n,
                 )
 
-    def test_series_above_the_brute_force_cap(self):
+    def test_series_above_the_ideal_chain_cap(self):
         with pytest.raises(ValueError, match="nonnegative"):
             order_polynomial_value(chain_poset(2), -1)
         # nine elements is past the cap of verify_order_gf; the series answers at every size
@@ -422,7 +420,7 @@ class TestIdealChainCounts:
         assert len(chains) == 11
         for n in range(0, 12):
             brute = _assignment_count(poset, n)
-            assert brute == _series_value(poset, n), (poset.canonical_key(), n)
+            assert brute == order_polynomial_value(poset, n), (poset.canonical_key(), n)
             expected = int(poset.size == 0) if n == 0 else chains[n - 1]
             assert brute == expected, (poset.canonical_key(), n)
 
