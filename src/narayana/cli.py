@@ -5,13 +5,15 @@ Subcommands: ``poly`` (compute one polynomial with analysis flags),
 identity sweeps), and ``analyze`` (coefficient diagnostics for arbitrary
 input). Every command is deterministic.
 
-Exit codes: 0 success, 1 verification counterexample, 2 usage error,
-3 enumeration budget exceeded (or out of memory).
+Exit codes: 0 success (also when the reader closes stdout early),
+1 verification counterexample, 2 usage error, 3 enumeration budget exceeded
+(or out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -163,6 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=cmd_analyze)
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call. Parsing leaves a
+    parser unchanged and returns a fresh namespace, and config and
+    environment are applied to that namespace per call, so one parser serves
+    every request of the process. Its ``func`` defaults are the ``cmd_*``
+    functions as they were when it was built."""
+    return build_parser()
 
 
 def _add_cache_flags(
@@ -396,7 +408,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
@@ -412,10 +424,21 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): the end of output, not an error
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    """The console script. When the reader has closed stdout, what is left in
+    its buffer can never be written: stdout is then pointed at os.devnull, so
+    that the flush at interpreter exit neither fails nor reports."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

@@ -14,6 +14,7 @@ mirrored alphabet of its steps, and a tableau as its row word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial, perm, prod
 from operator import gt, lt
 from typing import Iterator, Sequence
@@ -21,6 +22,8 @@ from typing import Iterator, Sequence
 DEFAULT_MAX_CELLS = 22
 # symbols at the end of a ballot sequence taken from memoized completion tables
 _SUFFIX_SYMBOLS = 6
+# maps the bytes 0..9 to their ASCII digits, for the one-digit string form
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 class BudgetExceededError(RuntimeError):
@@ -185,9 +188,16 @@ class LatticeWord:
         return _pair_count(self.symbols, gt)
 
     def __str__(self) -> str:
-        if self.m <= 9:
-            return "".join(map(str, self.symbols))
-        return ",".join(map(str, self.symbols))
+        return _symbols_string(self.symbols, self.m)
+
+
+def _symbols_string(symbols: tuple[int, ...], m: int) -> str:
+    """Digits run together for an alphabet of at most 9 symbols, else comma
+    separated. The constructors' scan has bounded the symbols to 1..m, so
+    the one-digit form is a byte translation."""
+    if m <= 9:
+        return bytes(symbols).translate(_DIGITS).decode()
+    return ",".join(map(str, symbols))
 
 
 def _relabel(symbols: Sequence[int], m: int) -> tuple[int, ...]:
@@ -230,9 +240,7 @@ class BallotPath:
         return _pair_count(self.steps, gt)
 
     def __str__(self) -> str:
-        if self.m <= 9:
-            return "".join(map(str, self.steps))
-        return ",".join(map(str, self.steps))
+        return _symbols_string(self.steps, self.m)
 
 
 @dataclass(frozen=True)
@@ -314,7 +322,15 @@ class StandardTableau:
         return _pair_count(self._row_word, lt)
 
     def __str__(self) -> str:
-        return ";".join([",".join(map(str, row)) for row in self.rows])
+        rows = self.rows
+        return _rows_format(tuple(map(len, rows))) % sum(rows, ())
+
+
+@lru_cache(maxsize=64)
+def _rows_format(lengths: tuple[int, ...]) -> str:
+    """The %-format of a tableau's string form for these row lengths: the
+    entries of a row joined by commas, the rows by semicolons."""
+    return ";".join([",".join(["%d"] * length) for length in lengths])
 
 
 def _column_error(

@@ -43,7 +43,8 @@ class LabeledPoset:
 
     ``covers`` lists (lower, upper) pairs; they must generate an acyclic
     order. Covers are stored deduplicated and sorted, so structurally equal
-    posets compare equal.
+    posets compare equal. The size, covers and labels hold ints only (a bool
+    or a float is refused), so every poset built survives its ``to_json``.
     """
 
     size: int
@@ -51,11 +52,15 @@ class LabeledPoset:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        pairs = tuple((a, b) for a, b in self.covers)
+        labels = tuple(self.labels)
+        for value in (self.size, *(e for pair in pairs for e in pair), *labels):
+            if type(value) is not int:  # bool is an int subclass, and refused too
+                raise ValueError(f"expected an integer, got {value!r}")
         if self.size < 0:
             raise ValueError("size must be nonnegative")
-        covers = tuple(sorted({(int(a), int(b)) for a, b in self.covers}))
+        covers = tuple(sorted(set(pairs)))
         object.__setattr__(self, "covers", covers)
-        labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         for a, b in covers:
             if not (1 <= a <= self.size and 1 <= b <= self.size):
@@ -134,9 +139,9 @@ class LabeledPoset:
     @classmethod
     def from_dict(cls, data: dict) -> "LabeledPoset":
         try:
-            size = _json_int(data["size"])
-            covers = tuple((_json_int(a), _json_int(b)) for a, b in data["covers"])
-            labels = tuple(_json_int(v) for v in data["labels"])
+            size = data["size"]
+            covers = tuple((a, b) for a, b in data["covers"])
+            labels = tuple(data["labels"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid poset description: {exc}") from exc
         return cls(size, covers, labels)
@@ -151,12 +156,6 @@ class LabeledPoset:
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid poset description: {exc}") from exc
         return cls.from_dict(data)
-
-
-def _json_int(value) -> int:
-    if type(value) is not int:  # JSON true and false load as bool, an int subclass
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 def chain_poset(size: int, labels: Sequence[int] | None = None) -> LabeledPoset:

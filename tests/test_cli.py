@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import narayana
 from narayana import posets
 from narayana.cli import main
 from narayana.generating import IdentityReport
@@ -564,3 +567,83 @@ class TestConfigAndUsage:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"config {path}" in err
+
+
+# each sequence runs in one process through the shared parser; every step is
+# then run again in a fresh process: argv, and the environment it adds
+SEQUENCES = {
+    "usage error, then a valid request": [
+        (["poly", "--n", "-1", "--m", "2"], {}),
+        (["poly", "--n", "3", "--m", "2", "--no-cache"], {}),
+    ],
+    "config, then none": [
+        (["--config", "config.json", "poly", "--n", "3", "--m", "2"], {}),
+        (["poly", "--n", "3", "--m", "2"], {}),
+    ],
+    "environment cache, then none": [
+        (["poly", "--n", "4", "--m", "2", "--format", "json"], {"NARAYANA_CACHE": "from-env.json"}),
+        (["poly", "--n", "4", "--m", "2", "--format", "json"], {}),
+    ],
+    "--no-cache after --cache": [
+        (["poly", "--n", "3", "--m", "2", "--cache", "c.json"], {}),
+        (["poly", "--n", "4", "--m", "3", "--no-cache"], {}),
+    ],
+}
+CONFIG = {"format": "csv", "cache": "from-config.json"}
+# the directory the package is imported from, for the fresh processes
+SOURCE = str(Path(narayana.__file__).parents[1])
+
+
+def _listing(directory: Path) -> dict:
+    """Each file of the directory with the keys of the JSON object it holds."""
+    return {path.name: sorted(json.loads(path.read_text())) for path in directory.iterdir()}
+
+
+def _fresh(argv: list[str], extra: dict, cwd: Path) -> tuple[int, str, str]:
+    env = {key: value for key, value in os.environ.items() if key != "NARAYANA_CACHE"}
+    env.update(extra, COLUMNS="80", PYTHONPATH=SOURCE)
+    done = subprocess.run(
+        [sys.executable, "-m", "narayana", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize("steps", SEQUENCES.values(), ids=SEQUENCES.keys())
+    def test_requests_in_one_process_match_fresh_processes(
+        self, capsys, tmp_path, monkeypatch, steps
+    ):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        for directory in (shared, fresh):
+            directory.mkdir()
+            (directory / "config.json").write_text(json.dumps(CONFIG))
+        monkeypatch.chdir(shared)
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, extra in steps:
+            monkeypatch.delenv("NARAYANA_CACHE", raising=False)
+            for key, value in extra.items():
+                monkeypatch.setenv(key, value)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == _fresh(argv, extra, fresh), argv
+            assert _listing(shared) == _listing(fresh), argv
+
+
+class TestClosedPipe:
+    def test_reader_closing_stdout_ends_the_output(self):
+        env = dict(os.environ, PYTHONPATH=SOURCE)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "narayana", "enumerate", "--kind", "words", "--n", "5", "--m", "4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        # 1,662,804 lines, far more than a pipe holds, so the writer meets the closed end
+        assert process.stdout.readline() == b"11111222223333344444\n"
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 0
+        assert err == b""

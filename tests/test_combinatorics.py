@@ -456,3 +456,32 @@ def test_row_of_and_descent_set_agree_with_the_row_word():
         ascents = {i for i in range(1, tableau.size) if row_word[i - 1] < row_word[i]}
         assert tableau.descent_set() == frozenset(ascents)
         assert tableau.descent_count() == len(ascents)
+
+
+def _joined(symbols, m):
+    """The string form of a word or path as a join of the symbols."""
+    return ("" if m <= 9 else ",").join(map(str, symbols))
+
+
+def test_word_and_path_strings_are_the_joined_symbols():
+    # nm <= 12 reaches m = 10, 11 and 12, where the comma form takes over
+    for n in range(1, 13):
+        for m in range(1, 12 // n + 1):
+            words = list(enumerate_lattice_words(n, m))
+            paths = list(enumerate_ballot_paths(n, m))
+            assert [str(w) for w in words] == [_joined(w.symbols, m) for w in words]
+            assert [str(p) for p in paths] == [_joined(p.steps, m) for p in paths]
+            assert all(LatticeWord.from_string(str(w), n, m) == w for w in words)
+    assert str(LatticeWord(tuple(range(1, 11)), 1, 10)) == "1,2,3,4,5,6,7,8,9,10"
+    assert str(BallotPath((2, 1), 1, 2)) == "21"
+    assert str(LatticeWord((), 0, 3)) == ""
+
+
+def test_tableau_strings_are_the_joined_rows():
+    # every tableau of every shape of at most 12 cells, so entries 10..12 occur
+    for total in range(13):
+        for shape in enumerate_partitions(total):
+            tableaux = list(enumerate_syt(shape))
+            expected = [";".join([",".join(map(str, row)) for row in t.rows]) for t in tableaux]
+            assert list(map(str, tableaux)) == expected
+    assert str(StandardTableau(((1, 2, 5), (3, 4)))) == "1,2,5;3,4"

@@ -47,6 +47,18 @@ class TestLabeledPoset:
         with pytest.raises(ValueError, match="itself"):
             LabeledPoset(2, ((1, 1),), (1, 2))
 
+    def test_rejects_non_integers(self):
+        # the constructor refuses what from_json refuses, so every poset it
+        # builds survives its own to_json
+        for size, covers, labels in [
+            (2, ((1.5, 2),), (True, 2.0)),
+            (2.0, (), (1, 2)),
+            (2, ((1, "2"),), (1, 2)),
+            (2, (), (1, False)),
+        ]:
+            with pytest.raises(ValueError, match="expected an integer"):
+                LabeledPoset(size, covers, labels)
+
     def test_rejects_cycles(self):
         with pytest.raises(ValueError, match="cycle"):
             LabeledPoset(3, ((1, 2), (2, 3), (3, 1)), (1, 2, 3))
