@@ -40,9 +40,7 @@ from .generating import (
 )
 from .polynomials import IntPolynomial, is_log_concave, is_real_rooted, is_unimodal, newton_inequalities_hold
 from .posets import (
-    DEFAULT_MAX_CHAIN_ELEMENTS,
     LabeledPoset,
-    _check_chain_cap,
     antichain_poset,
     column_strict_ferrers_poset,
     verify_ferrers_eulerian_identity,
@@ -54,18 +52,12 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# suite: (default ceiling, hard cap on the sweep); ordergf counts order
-# polynomials as ideal chains (a transfer matrix) against the Eulerian series
-# up to the element cap that bounds the matrix; the others enumerate nothing
-# and sweep up to the cell cap (theorem21: word DP vs closed form, sulanke:
-# word DP vs tableau DP, eq33: tableau DP vs closed form; both DPs are
-# posets.eulerian_polynomial, bounded by its ideal cap alone)
-SUITES = {
-    "theorem21": (16, DEFAULT_MAX_CELLS),
-    "sulanke": (16, DEFAULT_MAX_CELLS),
-    "eq33": (10, DEFAULT_MAX_CELLS),
-    "ordergf": (7, DEFAULT_MAX_CHAIN_ELEMENTS),
-}
+# suite: default ceiling; every sweep stops at the cell cap DEFAULT_MAX_CELLS
+# and enumerates nothing (theorem21: word DP vs closed form, sulanke: word DP
+# vs tableau DP, eq33: tableau DP vs closed form, ordergf: order polynomials
+# counted as ideal chains by a transfer matrix vs the Eulerian series; each
+# engine is bounded by its own budget in the library)
+SUITES = {"theorem21": 16, "sulanke": 16, "eq33": 10, "ordergf": 7}
 
 FORMAT_CHOICES = {"poly": ("plain", "json", "csv"), "analyze": ("plain", "json")}
 
@@ -110,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("--max-cells", type=_positive, default=None, dest="max_cells")
     cache_help = f"cache file (default {DEFAULT_CACHE_PATH}, or ${CACHE_ENV_VAR})"
     _add_cache_flags(poly, cache_help, "disable persistence")
-    poly.set_defaults(func=cmd_poly)
 
     enum = commands.add_parser("enumerate", help="stream objects one per line")
     enum.add_argument("--kind", choices=("words", "syt", "paths"), required=True)
@@ -119,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--shape", help='partition as row lengths, e.g. "3,2,1"')
     enum.add_argument("--limit", type=_positive, default=None)
     enum.add_argument("--max-cells", type=_positive, default=None, dest="max_cells")
-    enum.set_defaults(func=cmd_enumerate)
 
     verify = commands.add_parser(
         "verify", help="run exhaustive identity sweeps; nonzero exit on failure"
@@ -132,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive,
         default=None,
         dest="max_cells",
-        help="sweep ceiling (each suite also respects its own hard cap)",
+        help=f"sweep ceiling (at most the cell cap, {DEFAULT_MAX_CELLS})",
     )
     verify.add_argument(
         "--series-terms",
@@ -150,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON poset description; restricts the ordergf suite to that poset",
     )
     _add_cache_flags(verify, "accepted and ignored (verify keeps no cache)", "accepted and ignored")
-    verify.set_defaults(func=cmd_verify)
 
     analyze = commands.add_parser(
         "analyze", help="diagnostics for an arbitrary integer coefficient list"
@@ -162,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=FORMAT_CHOICES["analyze"], default=None,
         help="output format (default plain)",
     )
-    analyze.set_defaults(func=cmd_analyze)
 
     return parser
 
@@ -172,8 +160,7 @@ def _shared_parser() -> argparse.ArgumentParser:
     """The parser ``main`` uses, built on its first call. Parsing leaves a
     parser unchanged and returns a fresh namespace, and config and
     environment are applied to that namespace per call, so one parser serves
-    every request of the process. Its ``func`` defaults are the ``cmd_*``
-    functions as they were when it was built."""
+    every request of the process."""
     return build_parser()
 
 
@@ -352,25 +339,31 @@ def cmd_verify(args) -> int:
                 poset = LabeledPoset.from_json(handle.read())
         except ValueError as exc:
             return _usage_error(f"invalid poset file {args.poset}: {exc}")
-        # before any suite runs, so an oversized file prints no case lines
-        _check_chain_cap(poset)
-    first_failure = None
+    planned = []
     for suite in suites:
-        default, cap = SUITES[suite]
         sweeps = suite != "ordergf" or poset is None
-        if sweeps and args.max_cells is not None and args.max_cells > cap:
-            print(f"note: suite {suite} sweeps up to {cap} cells (its cap)", file=sys.stderr)
-        cases = _cases(suite, min(args.max_cells or default, cap), args.series_terms, poset)
-        if args.jobs > 1 and len(cases) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as executor:
-                reports = list(executor.map(_check, cases))
-        else:
-            reports = [_check(case) for case in cases]
-        for (label, _, _), report in zip(cases, reports):
+        if sweeps and args.max_cells is not None and args.max_cells > DEFAULT_MAX_CELLS:
+            print(f"note: suite {suite} sweeps up to {DEFAULT_MAX_CELLS} cells (its cap)",
+                  file=sys.stderr)
+        cells = min(args.max_cells or SUITES[suite], DEFAULT_MAX_CELLS)
+        planned.append((suite, _cases(suite, cells, args.series_terms, poset)))
+    # every case runs before the first line is printed, so a budget error
+    # leaves stdout empty
+    cases = [case for _, each in planned for case in each]
+    if args.jobs > 1 and len(cases) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as executor:
+            reports = list(executor.map(_check, cases))
+    else:
+        reports = [_check(case) for case in cases]
+    first_failure = None
+    done = iter(reports)
+    for suite, each in planned:
+        suite_reports = [next(done) for _ in each]
+        for (label, _, _), report in zip(each, suite_reports):
             print(f"{suite} {label}: " + ("PASS" if report else f"FAIL ({report.detail()})"))
             if not report and first_failure is None:
                 first_failure = f"{suite} {label}: {report.detail()}"
-        print(f"suite {suite}: {sum(map(bool, reports))}/{len(cases)} passed")
+        print(f"suite {suite}: {sum(map(bool, suite_reports))}/{len(each)} passed")
     if first_failure is not None:
         print(f"first counterexample: {first_failure}")
         return EXIT_COUNTEREXAMPLE
@@ -417,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return args.func(args)
+            return globals()[f"cmd_{args.command}"](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

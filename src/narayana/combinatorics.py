@@ -29,7 +29,8 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 class BudgetExceededError(RuntimeError):
     """Raised when an input exceeds the one budget of its engine: the cell cap
     of the enumerators (``poly`` applies it to bound the degree certified), the
-    order-ideal cap of the Eulerian DP, or an element cap of a poset engine."""
+    order-ideal cap of the Eulerian DP, the extension cap of the linear
+    extension enumerator, or the work budget of the ideal-chain count."""
 
 
 def _check_budget(cells: int, max_cells: int | None) -> None:
@@ -53,7 +54,7 @@ class Partition:
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
         for i, part in enumerate(parts):
-            if not isinstance(part, int) or part < 1:
+            if type(part) is not int or part < 1:  # bool is an int subclass, and refused too
                 raise ValueError(f"part {i + 1} must be a positive integer, got {part!r}")
             if i and parts[i - 1] < part:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
@@ -109,8 +110,9 @@ def _scan_ballot(
 ) -> tuple[int, int] | None:
     """The check that mirrors ``_ballot_sequences(quotas)``: None for a ballot
     sequence, else (position, symbol) of the shortest prefix holding more
-    symbol's than (symbol-1)'s, or (0, smallest symbol off its quota). Symbols
-    outside 1..len(quotas) raise a ValueError naming the position.
+    symbol's than (symbol-1)'s, or (0, smallest symbol off its quota). A symbol
+    that is not an int in 1..len(quotas) raises a ValueError naming the
+    position.
 
     ``mirrored`` scans in the mirrored alphabet (s read as k+1-s), the steps
     of a path, without relabeling them: symbol s is then bounded by the count
@@ -123,7 +125,7 @@ def _scan_ballot(
     counts = [sentinel] + [0] * k + [sentinel]
     above = 1 if mirrored else -1
     for position, symbol in enumerate(symbols, start=1):
-        if not (isinstance(symbol, int) and 0 < symbol <= k):
+        if not (type(symbol) is int and 0 < symbol <= k):  # a bool is refused too
             raise ValueError(
                 f"symbol {symbol!r} at position {position} is outside the alphabet 1..{k}"
             )
@@ -262,6 +264,8 @@ class StandardTableau:
         p = sum(lengths)
         row_word = [0] * p
         for i, row in enumerate(rows, start=1):
+            if not all(type(entry) is int for entry in row):  # a bool is refused too
+                raise ValueError(f"row {i} holds an entry that is not an integer: {row}")
             if not all(map(lt, row, row[1:])):
                 raise ValueError(f"row {i} is not strictly increasing: {row}")
             if not (0 < row[0] and row[-1] <= p):

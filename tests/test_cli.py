@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import narayana
 from narayana import posets
-from narayana.cli import main
+from narayana.cli import SUITES, main
 from narayana.generating import IdentityReport
 from narayana.posets import LabeledPoset, antichain_poset, chain_poset
 
@@ -257,24 +258,51 @@ class TestVerify:
         for suite in ("theorem21", "sulanke", "eq33", "ordergf"):
             assert f"suite {suite}:" in out
 
-    def test_clamped_ceiling_is_noted_on_stderr_only(self, capsys):
-        argv = ("verify", "--suite", "all", "--max-cells", "10", "--no-cache")
-        code, out, err = run(capsys, *argv)
-        golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
-        stored = next(entry for entry in golden if tuple(entry["argv"]) == argv)
-        assert (code, out) == (stored["code"], stored["stdout"])
-        assert err.splitlines() == ["note: suite ordergf sweeps up to 8 cells (its cap)"]
+    @staticmethod
+    def _record_sweeps(monkeypatch) -> list:
+        """Replace each suite's cases by none, recording (suite, cells)."""
+        sweeps = []
 
-    def test_clamped_config_ceiling_is_noted(self, capsys, tmp_path):
+        def record(suite, cells, terms, poset):
+            sweeps.append((suite, cells))
+            return []
+
+        monkeypatch.setattr("narayana.cli._cases", record)
+        return sweeps
+
+    def test_clamped_ceiling_is_noted_on_stderr_only(self, capsys, monkeypatch):
+        # every suite sweeps up to the cell cap, and only a ceiling above it is noted
+        sweeps = self._record_sweeps(monkeypatch)
+        code, out, err = run(capsys, "verify", "--suite", "all", "--max-cells", "23")
+        assert code == 0
+        assert sweeps == [(suite, 22) for suite in SUITES]
+        assert out.splitlines() == [f"suite {suite}: 0/0 passed" for suite in SUITES]
+        assert err.splitlines() == [
+            f"note: suite {suite} sweeps up to 22 cells (its cap)" for suite in SUITES
+        ]
+        sweeps.clear()
+        code, _, err = run(capsys, "verify", "--suite", "all", "--max-cells", "22")
+        assert code == 0
+        assert sweeps == [(suite, 22) for suite in SUITES]
+        assert err == ""
+
+    def test_clamped_config_ceiling_is_noted(self, capsys, tmp_path, monkeypatch):
+        sweeps = self._record_sweeps(monkeypatch)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"max_cells": 9}))
+        config.write_text(json.dumps({"max_cells": 23}))
+        code, _, err = run(capsys, "--config", str(config), "verify", "--suite", "ordergf")
+        assert code == 0
+        assert sweeps == [("ordergf", 22)]
+        assert err.splitlines() == ["note: suite ordergf sweeps up to 22 cells (its cap)"]
+
+    @pytest.mark.parametrize("cells,cases", [("9", 97), ("10", 139)])
+    def test_ordergf_sweeps_past_eight_cells_without_a_note(self, capsys, cells, cases):
         code, out, err = run(
-            capsys,
-            "--config", str(config), "verify", "--suite", "ordergf", "--series-terms", "2",
+            capsys, "verify", "--suite", "ordergf", "--max-cells", cells, "--series-terms", "2",
         )
         assert code == 0
-        assert "suite ordergf: 67/67 passed" in out
-        assert err.splitlines() == ["note: suite ordergf sweeps up to 8 cells (its cap)"]
+        assert out.splitlines()[-1] == f"suite ordergf: {cases}/{cases} passed"
+        assert err == ""
 
     def test_unclamped_ceiling_prints_no_note(self, capsys, tmp_path):
         poset = tmp_path / "poset.json"
@@ -364,26 +392,53 @@ class TestVerify:
         assert code == 0
         assert "poset p=3" in out
 
+    def test_twelve_element_antichain_passes(self, capsys, tmp_path):
+        path = tmp_path / "poset.json"
+        path.write_text(antichain_poset(12).to_json())
+        code, out, err = run(capsys, "verify", "--suite", "ordergf", "--poset", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "ordergf poset p=12 terms=10: PASS", "suite ordergf: 1/1 passed",
+        ]
+        assert err == ""
+
+    def _refused_in_time(self, capsys, tmp_path, *argv):
+        """Run each over-budget poset file and check the refusal: exit 3
+        within 2 s, nothing on stdout, one error line."""
+        for poset in (antichain_poset(13), chain_poset(1000)):
+            path = tmp_path / "poset.json"
+            path.write_text(poset.to_json())
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", *argv, "--poset", str(path))
+            assert time.perf_counter() - start < 2, poset.size
+            assert code == 3
+            assert out == ""
+            assert err == (
+                f"error: counting ideal chains takes more than {posets.DEFAULT_MAX_CHAIN_WORK} "
+                "units of work, the chain budget\n"
+            )
+
     def test_oversized_poset_file_hits_the_cap_at_once(self, capsys, tmp_path, monkeypatch):
         def enumerated(*_):
-            raise AssertionError("the Eulerian DP ran past the ideal-chain cap")
+            raise AssertionError("the Eulerian DP ran past the chain budget")
 
         monkeypatch.setattr("narayana.posets.eulerian_polynomial", enumerated)
-        path = tmp_path / "poset.json"
-        path.write_text(antichain_poset(9).to_json())
-        code, out, err = run(capsys, "verify", "--suite", "ordergf", "--poset", str(path))
-        assert code == 3
-        assert out == ""
-        assert err == "error: poset has 9 elements, the ideal-chain cap is 8\n"
-        assert "max_brute_elements" not in err
+        self._refused_in_time(capsys, tmp_path, "--suite", "ordergf")
 
     def test_oversized_poset_file_stops_all_suites_before_any_runs(self, capsys, tmp_path):
-        path = tmp_path / "poset.json"
-        path.write_text(antichain_poset(9).to_json())
-        code, out, err = run(capsys, "verify", "--suite", "all", "--poset", str(path))
+        self._refused_in_time(capsys, tmp_path, "--suite", "all")
+
+    @pytest.mark.parametrize("suite", ["ordergf", "all"])
+    def test_huge_series_is_refused_at_once(self, capsys, suite):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--max-cells", "2", "--series-terms", "100000000",
+        )
+        assert time.perf_counter() - start < 2
         assert code == 3
         assert out == ""
-        assert err == "error: poset has 9 elements, the ideal-chain cap is 8\n"
+        assert err.startswith("error: counting ideal chains takes more than ")
+        assert err.count("\n") == 1
 
     def test_eq33_sweeps_past_the_extension_cap(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "eq33", "--max-cells", "14")
@@ -631,6 +686,15 @@ class TestSharedParser:
             out, err = capsys.readouterr()
             assert (code, out, err) == _fresh(argv, extra, fresh), argv
             assert _listing(shared) == _listing(fresh), argv
+
+
+def test_commands_are_looked_up_when_called(capsys, monkeypatch):
+    # the parser is shared by every call, so it must not hold the commands
+    code, out, _ = run(capsys, "analyze", "--coeffs", "1,2,1")
+    assert code == 0 and out
+    monkeypatch.setattr("narayana.cli.cmd_analyze", lambda args: print("patched") or 7)
+    code, out, _ = run(capsys, "analyze", "--coeffs", "1,2,1")
+    assert (code, out) == (7, "patched\n")
 
 
 class TestClosedPipe:

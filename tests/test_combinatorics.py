@@ -47,6 +47,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((-1,))
 
+    def test_bool_parts_are_refused(self):
+        with pytest.raises(ValueError, match="part 1 must be a positive integer, got True"):
+            Partition((True,))
+        with pytest.raises(ValueError, match="part 2"):
+            Partition((2, True))
+
     def test_cells_and_rows(self):
         shape = Partition((4, 2, 1))
         assert shape.cells == 7
@@ -123,6 +129,13 @@ class TestLatticeWord:
             LatticeWord((2, 1), 1, 2)
         with pytest.raises(ValueError):
             LatticeWord((1, 1), 1, 2)
+
+    def test_bool_symbols_are_refused(self):
+        # True == 1, but a word holds ints only
+        with pytest.raises(ValueError, match="symbol True at position 1"):
+            LatticeWord((True, 2), 1, 2)
+        with pytest.raises(ValueError, match="symbol True at position 2"):
+            is_lattice_word([1, True], 1, 2)
 
     def test_from_string_comma_form(self):
         assert LatticeWord.from_string("1,2,1,2", 2, 2).symbols == (1, 2, 1, 2)
@@ -203,6 +216,11 @@ class TestStandardTableau:
             StandardTableau(((1, 2), (3, 5)))
         with pytest.raises(ValueError, match="weakly decreasing"):
             StandardTableau(((1,), (2, 3)))
+
+    @pytest.mark.parametrize("rows", [((True,),), ((1, 2), (True,)), ((1.0,),)])
+    def test_non_integer_entries_are_refused(self, rows):
+        with pytest.raises(ValueError, match="not an integer"):
+            StandardTableau(rows)
 
     @pytest.mark.parametrize(
         "row_word,parts,message",

@@ -16,7 +16,9 @@ from narayana.combinatorics import (
 )
 from narayana.generating import _tally, syt_descent_polynomial
 from narayana.polynomials import IntPolynomial
+from narayana import posets
 from narayana.posets import (
+    DEFAULT_MAX_CHAIN_WORK,
     LabeledPoset,
     antichain_poset,
     chain_poset,
@@ -352,8 +354,11 @@ class TestOrderPolynomial:
     def test_series_above_the_ideal_chain_cap(self):
         with pytest.raises(ValueError, match="nonnegative"):
             order_polynomial_value(chain_poset(2), -1)
-        # nine elements is past the cap of verify_order_gf; the series answers at every size
-        assert order_polynomial_value(chain_poset(9), 2) == 10
+        # thirteen elements are past the chain budget of verify_order_gf; the
+        # series answers at every size
+        with pytest.raises(BudgetExceededError, match="chain budget"):
+            verify_order_gf(antichain_poset(13))
+        assert order_polynomial_value(antichain_poset(13), 2) == 2**13
 
     def test_hook_content_oracle_matches_assignment_search(self):
         for total in range(1, 8):
@@ -471,3 +476,32 @@ class TestIdealChainCounts:
         assert _ideal_chain_counts(antichain_poset(0), 6) == (1,) * 7
         assert verify_order_gf(diamond, terms=0)
         assert verify_order_gf(antichain_poset(0), terms=0)
+
+
+class TestChainBudget:
+    def test_the_work_is_counted_exactly(self, monkeypatch):
+        # an antichain of 3 at 10 terms: 8 ideals charged 3 scanned elements
+        # each, 3^3 - 2^3 targets offered, 3^3 steps walked 11 times
+        work = 8 * 3 + 3**3 - 2**3 + 3**3 * 11
+        monkeypatch.setattr(posets, "DEFAULT_MAX_CHAIN_WORK", work)
+        assert _ideal_chain_counts(antichain_poset(3), 10) == tuple(n**3 for n in range(1, 12))
+        monkeypatch.setattr(posets, "DEFAULT_MAX_CHAIN_WORK", work - 1)
+        with pytest.raises(BudgetExceededError, match="chain budget"):
+            _ideal_chain_counts(antichain_poset(3), 10)
+
+    def test_twelve_element_antichain_fits(self):
+        assert 2**12 * 12 + 3**12 - 2**12 + 3**12 * 11 == 6_422_348 <= DEFAULT_MAX_CHAIN_WORK
+        assert verify_order_gf(antichain_poset(12))
+
+    @pytest.mark.parametrize(
+        "poset,terms",
+        [(antichain_poset(13), 10), (antichain_poset(20), 10), (antichain_poset(40), 10),
+         (chain_poset(1000), 10), (chain_poset(100_000), 10), (chain_poset(1), 10**8)],
+        ids=["antichain13", "antichain20", "antichain40", "chain1000", "chain100000",
+             "terms1e8"],
+    )
+    def test_refusals_come_quickly(self, poset, terms):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="chain budget"):
+            verify_order_gf(poset, terms)
+        assert time.perf_counter() - start < 2
