@@ -5,9 +5,12 @@ degree first. Real-root counting runs on Sturm sequences built from integer
 pseudo-remainders that are only ever rescaled by positive factors, so sign
 patterns are exact; evaluations at rational points use ``Fraction``. A
 palindromic polynomial of degree d is certified through a polynomial of
-degree floor(d/2) in t + 1/t, with the same certificate as the plain chain.
-No floating point enters any certification path. ``compare_sequences``
-reports the first mismatch of two coefficient vectors (``IdentityReport``).
+degree floor(d/2) in t + 1/t; failing that, one with a repeated root is
+split into Yun's square-free factors, each certified on its own, with gcds
+from images modulo Mersenne primes accepted only by exact division; the
+certificate is always the one the plain chain gives. No floating point
+enters any certification path. ``compare_sequences`` reports the first
+mismatch of two coefficient vectors (``IdentityReport``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
+from operator import ne
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -35,7 +40,7 @@ class IntPolynomial:
     def __init__(self, coefficients: Iterable[int] = ()) -> None:
         coeffs = list(coefficients)
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise TypeError(f"integer coefficients required, got {type(c).__name__}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -73,7 +78,7 @@ class IntPolynomial:
         return 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPolynomial((other,))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -89,7 +94,7 @@ class IntPolynomial:
         return IntPolynomial(tuple(-c for c in self.coefficients))
 
     def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPolynomial((other,))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -101,7 +106,7 @@ class IntPolynomial:
     __radd__ = __add__
 
     def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPolynomial((other,))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -111,7 +116,7 @@ class IntPolynomial:
         return (-self) + other
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
+        if type(other) is int:
             return IntPolynomial(tuple(other * c for c in self.coefficients))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -136,15 +141,12 @@ class IntPolynomial:
         return IntPolynomial((0,) * k + self.coefficients)
 
     def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(k * c for k, c in enumerate(self.coefficients))[1:])
+        return IntPolynomial(_derivative(self.coefficients))
 
     def __call__(self, point: Rational) -> Rational:
         if isinstance(point, float):
             raise TypeError("exact evaluation only; pass int or Fraction")
-        acc: Rational = 0
-        for c in reversed(self.coefficients):
-            acc = acc * point + c
-        return acc
+        return _evaluate(self.coefficients, point)
 
     def content(self) -> int:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
@@ -157,13 +159,20 @@ class IntPolynomial:
         """Content divided out, leading coefficient normalized positive."""
         if self.is_zero:
             return self
-        g = self.content()
-        if self.leading_coefficient < 0:
-            g = -g
-        return IntPolynomial(tuple(c // g for c in self.coefficients))
+        return IntPolynomial(_primitive(self.coefficients))
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coefficients)!r})"
+
+
+# Moduli of the gcd images, in the order they are tried: Mersenne primes.
+_GCD_MODULI = tuple(2**k - 1 for k in (127, 521, 1279, 2203, 4423))
+
+# Least degree at which is_real_rooted splits p into square-free factors:
+# on Eulerian and palindromic products times a squared linear factor, the
+# split and the chain of p cost the same at degree 16, and the split is
+# cheaper from there on (see README).
+SQUARE_FREE_SPLIT_DEGREE = 16
 
 
 def _strip(coeffs: list[int]) -> list[int]:
@@ -172,30 +181,38 @@ def _strip(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
+def _derivative(coefficients: Sequence[int]) -> list[int]:
+    return [k * coefficients[k] for k in range(1, len(coefficients))]
+
+
+def _evaluate(coefficients: Sequence[int], point: Rational) -> Rational:
+    acc: Rational = 0
+    for c in reversed(coefficients):
+        acc = acc * point + c
+    return acc
+
+
+def _primitive(coefficients: Sequence[int]) -> list[int]:
+    """A nonzero polynomial divided by its content, with positive leading
+    coefficient."""
+    g = gcd(*coefficients)
+    if coefficients[-1] < 0:
+        g = -g
+    return [c // g for c in coefficients]
+
+
 def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Remainder of lc(b)**(deg a - deg b + 1) * a modulo b, over the integers.
 
-    The multiplier is fixed even when reduction finishes early, so its sign
-    (needed by the Sturm construction) is deterministic.
+    One step per degree of the quotient, even when its coefficient is 0, so
+    the multiplier is fixed and its sign (needed by the Sturm construction)
+    is deterministic.
     """
-    db = len(b) - 1
     lead = b[-1]
     r = list(a)
-    k = len(a) - len(b) + 1
-    while True:
-        _strip(r)
-        dr = len(r) - 1
-        if dr < db or not r:
-            break
-        r_lead = r[-1]
-        r = [lead * c for c in r]
-        offset = dr - db
-        for i, bc in enumerate(b):
-            r[offset + i] -= r_lead * bc
-        k -= 1
-    if k > 0 and r:
-        scale = lead ** k
-        r = [scale * c for c in r]
+    for offset in range(len(a) - len(b), -1, -1):
+        q = r.pop()
+        r = [lead * c for c in r[:offset]] + [lead * c - q * d for c, d in zip(r[offset:], b)]
     return r
 
 
@@ -223,10 +240,10 @@ def _exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return quotient
 
 
-def _remainder_chain(a: IntPolynomial, b: IntPolynomial) -> list[IntPolynomial]:
+def _remainder_chain(a: Sequence[int], b: Sequence[int]) -> list[Sequence[int]]:
     """Signed remainder sequence a, b, -rem(a, b), ... of two nonzero
-    polynomials with deg a >= deg b, up to its last nonzero element, which is
-    a gcd of a and b up to a constant factor.
+    coefficient lists with deg a >= deg b, up to its last nonzero element,
+    which is a gcd of a and b up to a constant factor.
 
     Each remainder is divided by its (positive) content; along with the
     sign-corrected pseudo-remainder this only ever rescales by positive
@@ -235,27 +252,99 @@ def _remainder_chain(a: IntPolynomial, b: IntPolynomial) -> list[IntPolynomial]:
     distinct real roots of p even when p is not square-free.
     """
     chain = [a, b]
-    while chain[-1].degree > 0:
-        x, y = chain[-2], chain[-1]
-        raw = _strip(_pseudo_remainder(x.coefficients, y.coefficients))
-        if not raw:
+    while len(b) > 1:
+        rem = _strip(_pseudo_remainder(a, b))
+        if not rem:
             break
-        multiplier_negative = (
-            y.leading_coefficient < 0 and (x.degree - y.degree + 1) % 2 == 1
-        )
-        rem = raw if multiplier_negative else [-c for c in raw]
+        # the multiplier lc(b)**(deg a - deg b + 1) is negative exactly then
+        if not (b[-1] < 0 and (len(a) - len(b)) % 2 == 0):
+            rem = [-c for c in rem]
         g = gcd(*rem)
-        chain.append(IntPolynomial(c // g for c in rem))
+        if g != 1:
+            rem = [c // g for c in rem]
+        chain.append(rem)
+        a, b = b, rem
     return chain
+
+
+def _gcd_image(a: Sequence[int], b: Sequence[int], modulus: int) -> list[int]:
+    """The monic gcd of a and b modulo a prime that does not divide the
+    leading coefficient of a, by Euclid's algorithm on pseudo-remainders,
+    which needs a modular inverse only at the end."""
+    x = [c % modulus for c in a]
+    y = _strip([c % modulus for c in b])
+    while y:
+        lead, degree = y[-1], len(y) - 1
+        while len(x) > degree:
+            q, shifted = x[-1], [0] * (len(x) - 1 - degree) + y
+            x = _strip([(lead * u - q * v) % modulus for u, v in zip(x, shifted)])
+        x, y = y, x
+    if len(x) == 1:
+        return [1]
+    inverse = pow(x[-1], -1, modulus)
+    return [c * inverse % modulus for c in x]
+
+
+def _checked_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a / g, b / g) for the primitive gcd g of two nonzero polynomials,
+    with positive leading coefficient.
+
+    g comes from a gcd image modulo a prime that divides neither leading
+    coefficient, so that the gcd's image divides it and its degree bounds
+    deg g. An image of degree 0 thus proves g = 1. Otherwise the image,
+    scaled by the gcd of the leading coefficients, lifted to symmetric
+    residues and made primitive, is accepted only if it divides a and b
+    exactly: a common divisor of degree at least deg g is g. When it does
+    not, the next modulus is tried, and after the last the remainder chain
+    gives g.
+    """
+    scale = gcd(a[-1], b[-1])
+    for modulus in _GCD_MODULI:
+        if a[-1] % modulus == 0 or b[-1] % modulus == 0:
+            continue
+        image = _gcd_image(a, b, modulus)
+        if len(image) == 1:
+            return [1], list(a), list(b)
+        half = modulus // 2
+        candidate = _primitive(
+            [r - modulus if r > half else r for r in (scale * c % modulus for c in image)]
+        )
+        try:
+            return candidate, _exact_div(a, candidate), _exact_div(b, candidate)
+        except ArithmeticError:
+            continue
+    g = _primitive(_remainder_chain(a, b)[-1])
+    return g, _exact_div(a, g), _exact_div(b, g)
+
+
+def _square_free_factors(coefficients: Sequence[int]) -> list[list[int]] | None:
+    """Yun's square-free decomposition p = c * a_1 * a_2**2 * ... * a_k**k
+    of a p of positive degree: its factors a_i of positive degree, which are
+    square-free and pairwise coprime, or None when p is square-free.
+
+    With b_1 = p / gcd(p, p') and c_1 = p' / gcd(p, p'), each step takes
+    d_i = c_i - b_i', a_i = gcd(b_i, d_i), b_(i+1) = b_i / a_i and
+    c_(i+1) = d_i / a_i; d_i = 0 exactly when b_i = a_i is the last factor.
+    """
+    g, b, c = _checked_gcd(coefficients, _derivative(coefficients))
+    if len(g) == 1:
+        return None
+    factors = []
+    while True:
+        d = _strip([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        if not d:
+            return factors + [b]
+        a, b, c = _checked_gcd(b, d)
+        if len(a) > 1:
+            factors.append(a)
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor over the integers, normalized to a primitive
     polynomial with positive leading coefficient times the content gcd.
 
-    Read off the last element of the remainder chain, whose content-reduced
-    pseudo-remainders keep coefficient growth in check without any rational
-    arithmetic.
+    The primitive part is a modular gcd image accepted only by exact division
+    of both inputs, with the remainder chain as fallback (``_checked_gcd``).
     """
     if a.is_zero and b.is_zero:
         return IntPolynomial()
@@ -263,9 +352,8 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         return b.primitive() * b.content()
     if b.is_zero:
         return a.primitive() * a.content()
-    if a.degree < b.degree:
-        a, b = b, a
-    return _remainder_chain(a, b)[-1].primitive() * gcd(a.content(), b.content())
+    g = _checked_gcd(a.coefficients, b.coefficients)[0]
+    return IntPolynomial(g) * gcd(a.content(), b.content())
 
 
 def square_free_part(p: IntPolynomial) -> IntPolynomial:
@@ -278,36 +366,23 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
         raise ValueError("the zero polynomial has no square-free part")
     if p.degree == 0:
         return IntPolynomial.one()
-    g = poly_gcd(p, p.derivative())
-    quotient = IntPolynomial(_exact_div(p.coefficients, g.coefficients))
-    return quotient.primitive()
+    quotient = _checked_gcd(p.coefficients, _derivative(p.coefficients))[1]
+    return IntPolynomial(_primitive(quotient))
 
 
-def _sign(x: Rational) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _variations(values: Iterable[Rational]) -> int:
+    """Sign changes along a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(map(ne, signs, signs[1:]))
 
 
-def _variations(signs: Iterable[int]) -> int:
-    seq = [s for s in signs if s]
-    return sum(1 for x, y in zip(seq, seq[1:]) if x != y)
+def _variations_at_infinity(chain: Sequence[Sequence[int]], positive: bool) -> int:
+    # at -infinity, an element of odd degree (even length) has the sign of -lc
+    return _variations(q[-1] if positive or len(q) % 2 else -q[-1] for q in chain)
 
 
-def _variations_at_infinity(chain: Sequence[IntPolynomial], positive: bool) -> int:
-    signs = []
-    for q in chain:
-        s = _sign(q.leading_coefficient)
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
-def _variations_at_point(chain: Sequence[IntPolynomial], point: Rational) -> int:
-    return _variations(_sign(q(point)) for q in chain)
+def _variations_at_point(chain: Sequence[Sequence[int]], point: Rational) -> int:
+    return _variations(_evaluate(q, point) for q in chain)
 
 
 def sturm_real_root_count(
@@ -329,8 +404,8 @@ def sturm_real_root_count(
         raise ValueError("lower endpoint exceeds upper endpoint")
     if p.degree == 0:
         return 0
-    chain = _remainder_chain(p, p.derivative())
-    if chain[-1].degree > 0:
+    chain = _remainder_chain(p.coefficients, _derivative(p.coefficients))
+    if len(chain[-1]) > 1:
         raise ValueError("input is not square-free; take square_free_part first")
     at_lower = (
         _variations_at_infinity(chain, positive=False)
@@ -355,11 +430,12 @@ class RealRootCertificate:
     at minus and plus infinity; their difference is the distinct real root
     count. For square-free ``p`` that chain is the Sturm chain of ``p``.
 
-    ``is_real_rooted`` may accept a palindromic ``p`` without building that
-    chain (see there); the five fields are then still the ones the chain of
-    ``p`` gives, because for real-rooted ``p`` they are forced: the chain has
-    at most ``square_free_degree + 1`` elements, so its variations are
-    ``square_free_degree`` at minus infinity and 0 at plus infinity.
+    ``is_real_rooted`` may accept a palindromic ``p``, or one with a repeated
+    root, without building that chain (see there); the five fields are then
+    still the ones the chain of ``p`` gives, because for real-rooted ``p``
+    they are forced: the chain has at most ``square_free_degree + 1``
+    elements, so its variations are ``square_free_degree`` at minus infinity
+    and 0 at plus infinity.
     """
 
     real_rooted: bool
@@ -372,15 +448,15 @@ class RealRootCertificate:
         return self.real_rooted
 
 
-def _plain_certificate(p: IntPolynomial) -> RealRootCertificate:
-    """The certificate read off one remainder chain of ``p`` and ``p'``, as
+def _plain_certificate(coefficients: Sequence[int]) -> RealRootCertificate:
+    """The certificate read off one remainder chain of p and p', as
     described on ``is_real_rooted``."""
-    if p.is_zero:
+    if not coefficients:
         raise ValueError("the zero polynomial has no root certificate")
-    if p.degree == 0:
+    if len(coefficients) == 1:
         return RealRootCertificate(True, 0, 0, 0, 0)
-    chain = _remainder_chain(p, p.derivative())
-    square_free_degree = p.degree - chain[-1].degree
+    chain = _remainder_chain(coefficients, _derivative(coefficients))
+    square_free_degree = len(coefficients) - len(chain[-1])
     at_neg = _variations_at_infinity(chain, positive=False)
     at_pos = _variations_at_infinity(chain, positive=True)
     count = at_neg - at_pos
@@ -426,14 +502,14 @@ def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate
     the plain chain.
     """
     odd = len(coefficients) % 2 == 0
-    q = IntPolynomial(_half_degree(_exact_div(coefficients, (1, 1)) if odd else coefficients))
-    h = q.degree
-    chain = _remainder_chain(q, q.derivative())
+    q = _half_degree(_exact_div(coefficients, (1, 1)) if odd else coefficients)
+    h = len(q) - 1
+    chain = _remainder_chain(q, _derivative(q))
     # h distinct real roots make q square-free, so that needs no check of its own
     if _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True) != h:
         return None
-    root_at_minus_two = q(-2) == 0
-    root_at_two = q(2) == 0
+    root_at_minus_two = _evaluate(q, -2) == 0
+    root_at_two = _evaluate(q, 2) == 0
     if _variations_at_point(chain, -2) - _variations_at_point(chain, 2) != root_at_two:
         return None
     square_free_degree = 2 * h - root_at_minus_two - root_at_two + (odd and not root_at_minus_two)
@@ -453,16 +529,37 @@ def is_real_rooted(p: IntPolynomial) -> RealRootCertificate:
     d >= 2 is tried first at half the degree: after dividing out 1 + t when
     d is odd, p = t**h q(t + 1/t) with deg q = h = floor(d/2), and one chain
     of ``q`` and ``q'`` with its variations at -infinity, -2, 2 and +infinity
-    accepts ``p`` when q has h simple real roots, none in (-2, 2). Every other
-    input, palindromic or not, gets the chain of ``p``. Either way the
-    certificate equals the one that chain gives, field by field.
+    accepts ``p`` when q has h simple real roots, none in (-2, 2).
+
+    When that route declines and d >= ``SQUARE_FREE_SPLIT_DEGREE``, ``p`` is
+    split into Yun's square-free factors, whose gcds come from modular images
+    accepted only by exact division (``_checked_gcd``). ``p`` is real-rooted
+    exactly when every factor is, and each factor is certified by the
+    palindromic route or by its own chain, far cheaper than the chain of
+    ``p``, whose coefficients grow with the repeated root. When every factor
+    is real-rooted the certificate is the one the chain of ``p`` is forced to
+    give (see ``RealRootCertificate``).
+
+    Every other input, a square-free one or one with a factor that is not
+    real-rooted, gets the chain of ``p``. Either way the certificate equals
+    the one that chain gives, field by field.
     """
-    coefficients = p.coefficients
-    if p.degree >= 2 and coefficients == coefficients[::-1]:
+    return _certificate(p.coefficients, split=True)
+
+
+def _certificate(coefficients: Sequence[int], split: bool) -> RealRootCertificate:
+    """``is_real_rooted`` on a coefficient list; ``split`` allows the
+    square-free split, which a square-free factor of it does not need."""
+    if len(coefficients) > 2 and coefficients == coefficients[::-1]:
         certificate = _palindromic_certificate(coefficients)
         if certificate is not None:
             return certificate
-    return _plain_certificate(p)
+    if split and len(coefficients) > SQUARE_FREE_SPLIT_DEGREE:
+        factors = _square_free_factors(coefficients)
+        if factors and all(_certificate(f, split=False).real_rooted for f in factors):
+            k = sum(len(f) - 1 for f in factors)
+            return RealRootCertificate(True, k, k, k, 0)
+    return _plain_certificate(coefficients)
 
 
 def _warn_on_negative(coefficients: Sequence[int], check: str) -> None:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from narayana.generating import narayana_polynomial
+import narayana.polynomials as polynomials_module
 from narayana.polynomials import (
+    SQUARE_FREE_SPLIT_DEGREE,
     IntPolynomial,
     _palindromic_certificate,
     _plain_certificate,
@@ -45,6 +47,13 @@ def test_rejects_non_integer_coefficients():
         IntPolynomial([1.5])
     with pytest.raises(TypeError):
         IntPolynomial([Fraction(1, 2)])
+    with pytest.raises(TypeError, match="got bool"):
+        IntPolynomial([True, 2, True])
+    assert IntPolynomial([1]) != True  # noqa: E712
+    with pytest.raises(TypeError):
+        IntPolynomial([1]) + True
+    with pytest.raises(TypeError):
+        IntPolynomial([1]) * True
 
 
 def test_arithmetic_examples():
@@ -379,7 +388,7 @@ def test_palindromic_certificate_equals_the_plain_chain(real, other, squared, sc
     if squared:
         poly = poly * poly
     assert poly.coefficients == poly.coefficients[::-1]
-    assert is_real_rooted(poly) == _plain_certificate(poly)
+    assert is_real_rooted(poly) == _plain_certificate(poly.coefficients)
 
 
 def test_palindromic_route_accepts_and_declines():
@@ -395,11 +404,11 @@ def test_palindromic_route_accepts_and_declines():
     ):
         certificate = _palindromic_certificate(p.coefficients)
         assert certificate is not None and certificate.real_rooted
-        assert certificate == _plain_certificate(p)
+        assert certificate == _plain_certificate(p.coefficients)
     # declined: q not square-free, a root of q in (-2, 2), a non-real root
     for p in (P(1, 2, 1) * P(1, 2, 1), P(1, 1, 1), P(1, 2, 1, 2, 1), P(1, 0, 3, 0, 1)):
         assert _palindromic_certificate(p.coefficients) is None
-        assert is_real_rooted(p) == _plain_certificate(p)
+        assert is_real_rooted(p) == _plain_certificate(p.coefficients)
 
 
 def test_every_narayana_polynomial_up_to_100_cells_certifies():
@@ -409,3 +418,109 @@ def test_every_narayana_polynomial_up_to_100_cells_certifies():
             certificate = is_real_rooted(poly)
             assert certificate.real_rooted, (n, m)
             assert certificate.distinct_real_roots == poly.degree, (n, m)
+
+
+def _eulerian(n):
+    """A_n(t) = sum_k A(n, k) t^k, of degree n - 1, by the Eulerian recurrence."""
+    row = [1]
+    for size in range(2, n + 1):
+        row = [(k + 1) * (row[k] if k < len(row) else 0) + (size - k) * (row[k - 1] if k else 0)
+               for k in range(size)]
+    return IntPolynomial(row)
+
+
+# factors with simple roots: real-rooted palindromes (a t + 1)(t + a) and
+# 1 + t, rational linear factors b t + c, and irreducible quadratics
+_split_factors = st.one_of(
+    st.integers(-5, 5).filter(lambda a: abs(a) > 1).map(lambda a: IntPolynomial([a, a * a + 1, a])),
+    st.just(IntPolynomial([1, 1])),
+    st.tuples(st.integers(1, 4), st.integers(-6, 6)).map(lambda bc: IntPolynomial([bc[1], bc[0]])),
+    st.tuples(st.integers(1, 5), st.integers(-5, 5), st.integers(1, 9))
+    .filter(lambda q: q[1] * q[1] < 4 * q[0] * q[2])
+    .map(lambda q: IntPolynomial([q[2], q[1], q[0]])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_split_factors, st.integers(1, 3)), min_size=1, max_size=9),
+    st.integers(-3, 3).filter(bool),
+)
+def test_square_free_split_equals_the_plain_chain(factors, scale):
+    poly = IntPolynomial([scale])
+    for factor, multiplicity in factors:
+        for _ in range(multiplicity):
+            poly = poly * factor
+    assert is_real_rooted(poly) == _plain_certificate(poly.coefficients)
+    # against gcd(p, p') read off the remainder chain alone
+    chain = polynomials_module._remainder_chain(poly.coefficients, poly.derivative().coefficients)
+    chain_gcd = IntPolynomial(chain[-1]).primitive()
+    assert poly_gcd(poly, poly.derivative()).primitive() == chain_gcd
+    assert square_free_part(poly) * chain_gcd == poly.primitive()
+
+
+def _palindromic_product(factors):
+    """prod (a t + 1)(t + a), with the distinct real roots -a and -1/a."""
+    poly = IntPolynomial.one()
+    for a in factors:
+        poly = poly * P(a, a * a + 1, a)
+    return poly
+
+
+def _takes_the_split(poly, monkeypatch):
+    """is_real_rooted(poly), asserting that the chain of poly itself is never built."""
+    lengths = []
+    plain = polynomials_module._plain_certificate
+
+    def spy(coefficients):
+        lengths.append(len(coefficients))
+        return plain(coefficients)
+
+    monkeypatch.setattr(polynomials_module, "_plain_certificate", spy)
+    certificate = is_real_rooted(poly)
+    monkeypatch.undo()
+    assert len(poly.coefficients) not in lengths
+    return certificate
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _eulerian(47) * P(7, 3) * P(7, 3),
+        lambda: _palindromic_product(range(2, 24)) * P(5, 2) * P(5, 2),
+        lambda: narayana_polynomial(5, 5) * narayana_polynomial(5, 5),
+    ],
+    ids=["eulerian47-square", "palindromic44-square", "narayana55-squared"],
+)
+def test_repeated_roots_take_the_split_and_equal_the_chain(make, monkeypatch):
+    poly = make()
+    assert poly.degree >= SQUARE_FREE_SPLIT_DEGREE
+    certificate = _takes_the_split(poly, monkeypatch)
+    assert certificate.real_rooted
+    assert certificate == _plain_certificate(poly.coefficients)
+
+
+# (3t + 1)^2 t (t + 1)(t + 5): 3 divides the leading coefficient, and modulo
+# 3 the polynomial is t (t + 1)(t + 2), square-free, so an image modulo 3
+# would miss the repeated root; modulo 5, t + 5 = t inflates the image's degree
+_UNLUCKY = P(1, 3) * P(1, 3) * P(0, 1) * P(1, 1) * P(5, 1)
+
+
+@pytest.mark.parametrize("moduli", [(3,), (5,), (3, 5), (5, 2**127 - 1), ()])
+def test_a_wrong_modulus_is_never_accepted(moduli, monkeypatch):
+    monkeypatch.setattr(polynomials_module, "_GCD_MODULI", moduli)
+    assert square_free_part(_UNLUCKY) == P(1, 3) * P(0, 1) * P(1, 1) * P(5, 1)
+    assert poly_gcd(_UNLUCKY, _UNLUCKY.derivative()) == P(1, 3)
+    for poly in (_UNLUCKY * _eulerian(13), _UNLUCKY * _eulerian(13) * P(1, 1, 1), _eulerian(16) * P(1, 3) * P(1, 3)):
+        assert poly.degree >= SQUARE_FREE_SPLIT_DEGREE
+        assert is_real_rooted(poly) == _plain_certificate(poly.coefficients)
+
+
+@pytest.mark.parametrize("image", [[3, 1], [5, 0, 1], [1, -2, 1]], ids=["t+3", "t^2+5", "(t-1)^2"])
+def test_a_wrong_image_is_never_accepted(image, monkeypatch):
+    # none of these divides the polynomials below, so none divides a pair
+    # whose gcd Yun's steps look for
+    monkeypatch.setattr(polynomials_module, "_gcd_image", lambda a, b, modulus: list(image))
+    assert poly_gcd(_UNLUCKY, _UNLUCKY.derivative()) == P(1, 3)
+    for poly in (_UNLUCKY * _eulerian(13), narayana_polynomial(5, 5) * narayana_polynomial(5, 5)):
+        assert is_real_rooted(poly) == _plain_certificate(poly.coefficients)
