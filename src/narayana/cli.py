@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: ``poly`` (compute one polynomial with analysis flags),
-``enumerate`` (stream words, tableaux, or paths), ``verify`` (exhaustive
+``enumerate`` (stream words, tableaux, or paths, one per line, written in
+blocks of ``ENUMERATE_BLOCK`` lines), ``verify`` (exhaustive
 identity sweeps), and ``analyze`` (coefficient diagnostics for arbitrary
 input). Every command is deterministic.
 
@@ -19,6 +20,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 
 from . import __version__
 from .cache import CACHE_ENV_VAR, DEFAULT_CACHE_PATH, PolynomialCache, narayana_key
@@ -60,6 +62,9 @@ EXIT_BUDGET = 3
 SUITES = {"theorem21": 16, "sulanke": 16, "eq33": 10, "ordergf": 7}
 
 FORMAT_CHOICES = {"poly": ("plain", "json", "csv"), "analyze": ("plain", "json")}
+
+# objects per write of ``enumerate``, which bounds the memory its output holds
+ENUMERATE_BLOCK = 4096
 
 
 def _nonnegative(text: str) -> int:
@@ -105,9 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = commands.add_parser("enumerate", help="stream objects one per line")
     enum.add_argument("--kind", choices=("words", "syt", "paths"), required=True)
-    enum.add_argument("--n", type=_nonnegative)
-    enum.add_argument("--m", type=_nonnegative)
-    enum.add_argument("--shape", help='partition as row lengths, e.g. "3,2,1"')
+    enum.add_argument("--n", type=_nonnegative, help="symbol quota, or row length of a syt rectangle")
+    enum.add_argument("--m", type=_nonnegative, help="alphabet size, or row count of a syt rectangle")
+    enum.add_argument(
+        "--shape", help='syt only, instead of --n and --m: row lengths, e.g. "3,2,1"'
+    )
     enum.add_argument("--limit", type=_positive, default=None)
     enum.add_argument("--max-cells", type=_positive, default=None, dest="max_cells")
 
@@ -281,11 +288,15 @@ def _usage_error(message: str) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.kind in ("words", "paths"):
+        if args.shape is not None:
+            return _usage_error(f"--kind {args.kind} takes --n and --m, not --shape")
         if args.n is None or args.m is None:
             return _usage_error(f"--kind {args.kind} needs --n and --m")
         enumerator = enumerate_lattice_words if args.kind == "words" else enumerate_ballot_paths
         stream = enumerator(args.n, args.m, max_cells=args.max_cells)
     else:
+        if args.shape is not None and (args.n is not None or args.m is not None):
+            return _usage_error("--kind syt takes --shape or --n and --m, not both")
         if args.shape:
             try:
                 shape = Partition.from_string(args.shape)
@@ -297,12 +308,10 @@ def cmd_enumerate(args) -> int:
         else:
             return _usage_error("--kind syt needs --shape or both --n and --m")
         stream = enumerate_syt(shape, max_cells=args.max_cells)
-    emitted = 0
-    for item in stream:
-        print(str(item))
-        emitted += 1
-        if args.limit is not None and emitted >= args.limit:
-            break
+    lines = map(str, islice(stream, args.limit))
+    while block := list(islice(lines, ENUMERATE_BLOCK)):
+        block.append("")
+        sys.stdout.write("\n".join(block))
     return EXIT_OK
 
 

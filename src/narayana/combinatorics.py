@@ -1,29 +1,38 @@
 """Partitions, lattice words, ballot paths, and standard Young tableaux.
 
-All objects are immutable values validated on construction, safe to share
-across threads. The enumerators walk a quota-and-dominance prefix tree that
-extends a word one symbol at a time, so only valid objects are ever
-materialized and output order is lexicographic. The walk is iterative up to
-the last six symbols; those come from tables of completions, one per symbol
-count vector reached, built once per call (at most 6! = 720 completions of
-six symbols each per table). Words, paths and tableaux are checked by the one
-ballot scan that mirrors that generator: a word directly, a path in the
-mirrored alphabet of its steps, and a tableau as its row word.
+All objects are immutable values, safe to share across threads. The
+enumerators walk a quota-and-dominance prefix tree that extends a word one
+symbol at a time, so only valid objects are ever materialized and output
+order is lexicographic. The walk is iterative up to the last six symbols;
+those come from tables of completions, one per symbol count vector reached,
+built once per call (at most 6! = 720 completions of six symbols each per
+table).
+
+Words, paths and tableaux are checked by the one ballot scan that mirrors
+that generator. The public constructors run it in full on every object: a
+word directly, a path in the mirrored alphabet of its steps, and a tableau
+as its row word. The enumerators run it inside the generator, where its
+work is shared: each walked prefix once from zero counts, and each
+completion table once per count vector that a prefix scan reached, from
+those counts. Every symbol of every enumerated word is checked, and the
+objects are built from the checked sequences without a second scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, perm, prod
-from operator import gt, lt
-from typing import Iterator, Sequence
+from operator import concat, gt, lt
+from typing import Callable, Iterator, Sequence
 
 DEFAULT_MAX_CELLS = 22
 # symbols at the end of a ballot sequence taken from memoized completion tables
 _SUFFIX_SYMBOLS = 6
 # maps the bytes 0..9 to their ASCII digits, for the one-digit string form
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# the annotation of words, paths, row words, rows, parts and count vectors
+IntTuple = tuple[int, ...]
 
 
 class BudgetExceededError(RuntimeError):
@@ -48,7 +57,7 @@ class Partition:
     Rows and columns are 1-indexed at every interface.
     """
 
-    parts: tuple[int, ...]
+    parts: IntTuple
 
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
@@ -98,7 +107,7 @@ class Partition:
         return ",".join(str(part) for part in self.parts)
 
 
-def _word_quotas(n: int, m: int) -> tuple[int, ...]:
+def _word_quotas(n: int, m: int) -> IntTuple:
     """Symbol quotas of the words of weight (n, m): each of 1..m occurs n times."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
@@ -106,9 +115,12 @@ def _word_quotas(n: int, m: int) -> tuple[int, ...]:
 
 
 def _scan_ballot(
-    symbols: Sequence[int], quotas: Sequence[int], mirrored: bool = False
+    symbols: Sequence[int],
+    quotas: Sequence[int] | None,
+    mirrored: bool = False,
+    start: list[int] | None = None,
 ) -> tuple[int, int] | None:
-    """The check that mirrors ``_ballot_sequences(quotas)``: None for a ballot
+    """The check that mirrors ``_ballot_blocks(quotas)``: None for a ballot
     sequence, else (position, symbol) of the shortest prefix holding more
     symbol's than (symbol-1)'s, or (0, smallest symbol off its quota). A symbol
     that is not an int in 1..len(quotas) raises a ValueError naming the
@@ -117,14 +129,21 @@ def _scan_ballot(
     ``mirrored`` scans in the mirrored alphabet (s read as k+1-s), the steps
     of a path, without relabeling them: symbol s is then bounded by the count
     of s+1, quotas[0] is the quota of k, and the result names the symbol as
-    given, so it is the mirror of the result for the relabeled sequence."""
-    k = len(quotas)
+    given, so it is the mirror of the result for the relabeled sequence.
+
+    ``start``, when given, holds the symbol counts of a prefix scanned before
+    (start[s-1] for symbol s): the scan goes on from them, numbers positions
+    after that prefix, and on success leaves in the list the counts it
+    reached. With ``quotas`` None the symbols are themselves a prefix: the
+    alphabet is 1..len(start) and no quota is checked."""
+    k = len(start) if quotas is None else len(quotas)
+    done = sum(start) if start else 0
     # the sentinels exceed every count, so the first symbol of the order
     # (1, or k when mirrored) is never dominated
-    sentinel = len(symbols) + 1
-    counts = [sentinel] + [0] * k + [sentinel]
+    sentinel = done + len(symbols) + 1
+    counts = [sentinel, *(start or [0] * k), sentinel]
     above = 1 if mirrored else -1
-    for position, symbol in enumerate(symbols, start=1):
+    for position, symbol in enumerate(symbols, start=done + 1):
         if not (type(symbol) is int and 0 < symbol <= k):  # a bool is refused too
             raise ValueError(
                 f"symbol {symbol!r} at position {position} is outside the alphabet 1..{k}"
@@ -133,6 +152,10 @@ def _scan_ballot(
         if count > counts[symbol + above]:
             return position, symbol
         counts[symbol] = count
+    if start is not None:
+        start[:] = counts[1:-1]
+    if quotas is None:
+        return None
     order = range(k, 0, -1) if mirrored else range(1, k + 1)
     for symbol, quota in zip(order, quotas):
         if counts[symbol] != quota:
@@ -159,7 +182,7 @@ class LatticeWord:
     """Word over {1..m} with all symbol quotas equal to n and the prefix
     dominance property."""
 
-    symbols: tuple[int, ...]
+    symbols: IntTuple
     n: int
     m: int
 
@@ -173,6 +196,18 @@ class LatticeWord:
             else:
                 reason = f"symbol {symbol} occurs {self.symbols.count(symbol)} times, expected {self.n}"
             raise ValueError(f"not a lattice word: {reason}")
+
+    @classmethod
+    def _checked(cls, symbols: IntTuple, n: int, m: int) -> "LatticeWord":
+        """The word of a symbol tuple that the ballot scan has accepted for
+        the quotas (n,)*m, built without scanning it again; the public
+        constructor sets the same fields and scans."""
+        word = object.__new__(cls)
+        fields = word.__dict__
+        fields["symbols"] = symbols
+        fields["n"] = n
+        fields["m"] = m
+        return word
 
     @classmethod
     def from_string(cls, text: str, n: int, m: int) -> "LatticeWord":
@@ -193,7 +228,7 @@ class LatticeWord:
         return _symbols_string(self.symbols, self.m)
 
 
-def _symbols_string(symbols: tuple[int, ...], m: int) -> str:
+def _symbols_string(symbols: IntTuple, m: int) -> str:
     """Digits run together for an alphabet of at most 9 symbols, else comma
     separated. The constructors' scan has bounded the symbols to 1..m, so
     the one-digit form is a byte translation."""
@@ -202,7 +237,7 @@ def _symbols_string(symbols: tuple[int, ...], m: int) -> str:
     return ",".join(map(str, symbols))
 
 
-def _relabel(symbols: Sequence[int], m: int) -> tuple[int, ...]:
+def _relabel(symbols: Sequence[int], m: int) -> IntTuple:
     """Mirror the alphabet 1..m (s to m+1-s); maps words to paths and back."""
     return tuple(map((m + 1).__sub__, symbols))
 
@@ -213,7 +248,7 @@ class BallotPath:
     every prefix keeps coordinate values weakly increasing left to right;
     equivalently, its mirrored word is a lattice word."""
 
-    steps: tuple[int, ...]
+    steps: IntTuple
     n: int
     m: int
 
@@ -235,6 +270,18 @@ class BallotPath:
                 f"step {step} occurs {self.steps.count(step)} times, expected {self.n}"
             )
 
+    @classmethod
+    def _checked(cls, steps: IntTuple, n: int, m: int) -> "BallotPath":
+        """The path of a step tuple whose mirrored word the ballot scan has
+        accepted for the quotas (n,)*m, built without scanning it again; the
+        public constructor sets the same fields and scans."""
+        path = object.__new__(cls)
+        fields = path.__dict__
+        fields["steps"] = steps
+        fields["n"] = n
+        fields["m"] = m
+        return path
+
     def ascent_count(self) -> int:
         return _pair_count(self.steps, lt)
 
@@ -250,8 +297,8 @@ class StandardTableau:
     """Filling of a partition diagram by 1..p, strictly increasing along every
     row and down every column; kept with its row word, the row of each entry."""
 
-    rows: tuple[tuple[int, ...], ...]
-    _row_word: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[IntTuple, ...]
+    _row_word: IntTuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.rows)
@@ -297,10 +344,20 @@ class StandardTableau:
         failure = _scan_ballot(row_word, parts)
         if failure is not None:
             raise _column_error(_rows_from_word(row_word, len(parts)), row_word, *failure)
-        rows = _rows_from_word(row_word, len(parts))
+        return cls._checked(_rows_from_word(row_word, len(parts)), tuple(row_word))
+
+    @classmethod
+    def _checked(
+        cls, rows: tuple[IntTuple, ...], row_word: IntTuple
+    ) -> "StandardTableau":
+        """The tableau of a row word that the ballot scan has accepted for its
+        shape and of the rows ``_rows_from_word(row_word, len(parts))``,
+        built without scanning it again; ``_from_row_word`` is this after
+        the scan."""
         tableau = object.__new__(cls)
-        object.__setattr__(tableau, "rows", rows)
-        object.__setattr__(tableau, "_row_word", tuple(row_word))
+        fields = tableau.__dict__
+        fields["rows"] = rows
+        fields["_row_word"] = row_word
         return tableau
 
     @property
@@ -331,7 +388,7 @@ class StandardTableau:
 
 
 @lru_cache(maxsize=64)
-def _rows_format(lengths: tuple[int, ...]) -> str:
+def _rows_format(lengths: IntTuple) -> str:
     """The %-format of a tableau's string form for these row lengths: the
     entries of a row joined by commas, the rows by semicolons."""
     return ";".join([",".join(["%d"] * length) for length in lengths])
@@ -348,48 +405,67 @@ def _column_error(
     return ValueError(f"column {j} is not strictly increasing: {column}")
 
 
-def _rows_from_word(row_word: Sequence[int], row_count: int) -> tuple[tuple[int, ...], ...]:
-    """Row i lists the positions of i in the row word; empty rows are dropped."""
+def _row_positions(
+    row_word: Sequence[int], row_count: int, first: int = 1
+) -> tuple[IntTuple, ...]:
+    """Tuple i-1 lists the positions of i in the row word, numbered from
+    first; a row that i never occurs in is empty."""
     rows: list[list[int]] = [[] for _ in range(row_count)]
-    for entry, row in enumerate(row_word, start=1):
+    for entry, row in enumerate(row_word, start=first):
         rows[row - 1].append(entry)
-    return tuple(tuple(row) for row in rows if row)
+    return tuple(map(tuple, rows))
 
 
-def _ballot_sequences(quotas: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All words in which symbol r appears quotas[r-1] times and no prefix
-    holds more r's than (r-1)'s, in lexicographic order.
+def _rows_from_word(row_word: Sequence[int], row_count: int) -> tuple[IntTuple, ...]:
+    """Row i lists the positions of i in the row word; empty rows are dropped."""
+    return tuple(row for row in _row_positions(row_word, row_count) if row)
+
+
+def _completions(
+    counts: IntTuple,
+    caps: IntTuple,
+    tables: dict[IntTuple, list[IntTuple]],
+) -> list[IntTuple]:
+    """The words that complete a prefix with these symbol counts to the
+    quotas caps[1:], in lexicographic order, memoized in tables; counts[0]
+    and caps[0] are placeholders. Not a closure, which would hold the tables
+    in a reference cycle until the next garbage collection."""
+    table = tables.get(counts)
+    if table is None:
+        table = [] if sum(counts) < sum(caps) else [()]
+        for symbol in range(1, len(caps)):
+            count = counts[symbol]
+            if count < caps[symbol] and (symbol == 1 or counts[symbol - 1] > count):
+                grown = counts[:symbol] + (count + 1,) + counts[symbol + 1:]
+                table.extend([(symbol,) + rest for rest in _completions(grown, caps, tables)])
+        tables[counts] = table
+    return table
+
+
+def _ballot_blocks(
+    quotas: Sequence[int],
+) -> Iterator[tuple[IntTuple, list[IntTuple]]]:
+    """The ballot sequences of the quotas as (prefix, completions) blocks,
+    unchecked: the words prefix + rest, for the blocks in turn and the rests
+    of each in turn, are all the words in which symbol r appears quotas[r-1]
+    times and no prefix holds more r's than (r-1)'s, in lexicographic order.
 
     Iterative backtracking over one reused buffer walks the prefixes of all
     but the last _SUFFIX_SYMBOLS symbols, so the walk needs no recursion at
-    any length. Each prefix it reaches is extended by every word of the
-    completion table of its symbol counts. The tables are built recursively
-    (depth at most _SUFFIX_SYMBOLS) and memoized for the call: one table per
-    count vector met, each of at most 6! = 720 completions of six symbols
-    (165 tables and 55,752 symbols in all for the 21-cell staircase).
+    any length. Each prefix it reaches comes with the completion table of its
+    symbol counts, the same list for every prefix with those counts. The
+    tables are built recursively (depth at most _SUFFIX_SYMBOLS) and memoized
+    for the call: one table per count vector met, each of at most 6! = 720
+    completions of six symbols (165 tables and 55,752 symbols in all for the
+    21-cell staircase).
     """
     k = len(quotas)
     total = sum(quotas)
     caps = (0,) + tuple(quotas)
-    tables: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def completions(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
-        # the words that complete a prefix with these symbol counts, in
-        # lexicographic order; counts[0] is a placeholder
-        table = tables.get(counts)
-        if table is None:
-            table = [] if sum(counts) < total else [()]
-            for symbol in range(1, k + 1):
-                count = counts[symbol]
-                if count < caps[symbol] and (symbol == 1 or counts[symbol - 1] > count):
-                    grown = counts[:symbol] + (count + 1,) + counts[symbol + 1:]
-                    table.extend([(symbol,) + rest for rest in completions(grown)])
-            tables[counts] = table
-        return table
-
+    tables: dict[IntTuple, list[IntTuple]] = {}
     split = total - _SUFFIX_SYMBOLS
     if split <= 0:
-        yield from completions((0,) * (k + 1))
+        yield (), _completions((0,) * (k + 1), caps, tables)
         return
     counts = [0] * (k + 1)
     word = [0] * split
@@ -413,15 +489,46 @@ def _ballot_sequences(quotas: Sequence[int]) -> Iterator[tuple[int, ...]]:
         counts[symbol] += 1
         position += 1
         if position == split:
-            prefix = tuple(word)
-            for rest in completions(tuple(counts)):
-                yield prefix + rest
+            yield tuple(word), _completions(tuple(counts), caps, tables)
             position -= 1
             symbol = word[position]
             counts[symbol] -= 1
             symbol += 1
         else:
             symbol = 1
+
+
+def _checked_blocks(
+    quotas: Sequence[int], convert: Callable[[IntTuple], object] | None = None
+) -> Iterator[tuple[IntTuple, list]]:
+    """The blocks of ``_ballot_blocks(quotas)``, each checked by the ballot
+    scan before it is yielded; a word that fails raises a ValueError.
+
+    The scan runs where the blocks share work: each prefix from zero counts,
+    and each completion table from the counts that the prefix scan reached,
+    once per count vector that it is met with. So every symbol of every word
+    is scanned, but no word is scanned whole. ``convert``, when given, maps
+    each completion of a table once, at its check, and the blocks carry the
+    mapped completions in place of the table."""
+    k = len(quotas)
+    # reached counts -> (the table checked from them, its completions as yielded)
+    checked = {}
+    for prefix, table in _ballot_blocks(quotas):
+        reached = [0] * k
+        failure = _scan_ballot(prefix, None, start=reached)
+        entry = checked.get(tuple(reached))
+        rest = ()  # the completion that failed, if one did
+        if failure is None and (entry is None or entry[0] is not table):
+            for rest in table:
+                failure = _scan_ballot(rest, quotas, start=reached.copy())
+                if failure is not None:
+                    break
+            else:
+                tails = table if convert is None else list(map(convert, table))
+                entry = checked[tuple(reached)] = (table, tails)
+        if failure is not None:
+            raise ValueError(f"ballot generator fault: {prefix + rest} fails the scan at {failure}")
+        yield prefix, entry[1]
 
 
 def enumerate_lattice_words(
@@ -433,9 +540,10 @@ def enumerate_lattice_words(
     symbol form a contiguous block of the output.
     """
     _check_budget(n * m, max_cells)
-    quotas = _word_quotas(n, m)
-    for symbols in _ballot_sequences(quotas):
-        yield LatticeWord(symbols, n, m)
+    build = LatticeWord._checked
+    for prefix, tails in _checked_blocks(_word_quotas(n, m)):
+        for rest in tails:
+            yield build(prefix + rest, n, m)
 
 
 def enumerate_ballot_paths(
@@ -444,9 +552,12 @@ def enumerate_ballot_paths(
     """Yield every ballot path to (n, ..., n) once; the order mirrors the
     lexicographic word order under the symbol/step relabeling."""
     _check_budget(n * m, max_cells)
-    quotas = _word_quotas(n, m)
-    for symbols in _ballot_sequences(quotas):
-        yield BallotPath(_relabel(symbols, m), n, m)
+    build = BallotPath._checked
+    mirror = partial(_relabel, m=m)
+    for prefix, tails in _checked_blocks(_word_quotas(n, m), mirror):
+        head = mirror(prefix)
+        for tail in tails:
+            yield build(head + tail, n, m)
 
 
 def enumerate_syt(
@@ -456,8 +567,19 @@ def enumerate_syt(
     lexicographically by the sequence of row indices of 1, 2, ..., p."""
     _check_budget(shape.cells, max_cells)
     parts = shape.parts
-    for row_word in _ballot_sequences(parts):
-        yield StandardTableau._from_row_word(row_word, parts)
+    k = len(parts)
+    cells = shape.cells
+    build = StandardTableau._checked
+
+    def with_rows(rest: IntTuple) -> tuple[IntTuple, tuple[IntTuple, ...]]:
+        # convert sees checked completions only, and a checked word holds
+        # every cell, so rest starts after len(prefix) = cells - len(rest)
+        return rest, _row_positions(rest, k, cells - len(rest) + 1)
+
+    for prefix, tails in _checked_blocks(parts, with_rows):
+        head = _row_positions(prefix, k)
+        for rest, tail in tails:
+            yield build(tuple(map(concat, head, tail)), prefix + rest)
 
 
 def _hooks(shape: Partition) -> list[int]:
@@ -511,7 +633,7 @@ def enumerate_partitions(total: int, max_part: int | None = None) -> Iterator[Pa
     if total < 0:
         raise ValueError("total must be nonnegative")
 
-    def generate(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+    def generate(remaining: int, cap: int) -> Iterator[IntTuple]:
         if remaining == 0:
             yield ()
             return

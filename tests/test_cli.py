@@ -1,15 +1,17 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import narayana
 from narayana import posets
-from narayana.cli import SUITES, main
+from narayana.cli import ENUMERATE_BLOCK, SUITES, main
 from narayana.generating import IdentityReport
 from narayana.posets import LabeledPoset, antichain_poset, chain_poset
 
@@ -175,6 +177,20 @@ class TestCache:
         assert not env_target.exists()
 
 
+# sha256 of the stdout of ``enumerate``; the two --limit runs end just at
+# and just past the first block boundary
+ENUMERATE_DIGESTS = {
+    "--kind words --n 4 --m 4": "91be637a5d8bf61445f862463a9e3d6003014a29ebcf029faa86842ba78549e4",
+    "--kind paths --n 4 --m 4": "17fd8a8f43e3b10023f5ed5612bbb473c88cbf87f24c3c5cb0c107edf329ace7",
+    "--kind syt --n 4 --m 4": "92ce014becc74261fb9656090522c324de7615565678a736f5e364e9134ced33",
+    "--kind words --n 2 --m 10": "7358663bfa42c2a87784f388ca72330e161d3156c1731bc7a6b15c38b85352ba",
+    "--kind syt --shape 5,4,3,1 --limit 4096":
+        "3f032d47638cc43964b79c3810c942944a113e76cc297f020e52c73a305d0112",
+    "--kind syt --shape 5,4,3,1 --limit 4097":
+        "9c8dc55a79368fe49895e3ddbf035cfed8e9271fe04a6f23a6d68ec7ead022af",
+}
+
+
 class TestEnumerate:
     def test_words(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "words", "--n", "2", "--m", "2")
@@ -225,6 +241,35 @@ class TestEnumerate:
     def test_bad_shape(self, capsys):
         code, _, err = run(capsys, "enumerate", "--kind", "syt", "--shape", "2,x")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "words", "--n", "2", "--m", "2", "--shape", "3,1"),
+            ("--kind", "paths", "--n", "2", "--m", "2", "--shape", "3,1"),
+            ("--kind", "syt", "--n", "2", "--m", "2", "--shape", "3,1"),
+            ("--kind", "syt", "--m", "2", "--shape", "3,1"),
+        ],
+        ids=["words", "paths", "syt", "syt-m-only"],
+    )
+    def test_conflicting_flags_are_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", ENUMERATE_DIGESTS)
+    def test_output_bytes_are_pinned(self, capsys, argv):
+        code, out, err = run(capsys, "enumerate", *argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[argv]
+
+    def test_output_is_written_in_bounded_blocks(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        argv = ["--kind", "syt", "--shape", "5,4,3,1", "--limit", str(2 * ENUMERATE_BLOCK + 1)]
+        assert main(["enumerate", *argv]) == 0
+        assert [block.count("\n") for block in writes] == [ENUMERATE_BLOCK, ENUMERATE_BLOCK, 1]
+        assert all(block.endswith("\n") for block in writes)
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from narayana import combinatorics
 from narayana.combinatorics import (
     DEFAULT_MAX_CELLS,
     BallotPath,
@@ -17,13 +18,18 @@ from narayana.combinatorics import (
     enumerate_syt,
     is_lattice_word,
     syt_count_hook,
-    _ballot_sequences,
+    _checked_blocks,
     _relabel,
     _rows_from_word,
     _scan_ballot,
 )
 
 SAMPLE_WORD = "121113223233"
+
+
+def _ballot_words(quotas):
+    """The checked ballot sequences of the quotas, one word per completion."""
+    return [prefix + rest for prefix, tails in _checked_blocks(quotas) for rest in tails]
 
 
 @st.composite
@@ -308,7 +314,7 @@ GENERATOR_QUOTAS = sorted(
 @pytest.mark.parametrize("quotas", GENERATOR_QUOTAS, ids=str)
 def test_ballot_generator_matches_the_filtered_arrangements(quotas):
     expected = sorted(w for w in _arrangements(quotas) if _scan_ballot(w, quotas) is None)
-    assert list(_ballot_sequences(quotas)) == expected
+    assert _ballot_words(quotas) == expected
 
 
 def test_long_prefix_walks_need_no_recursion():
@@ -452,11 +458,84 @@ def test_mirrored_scan_is_the_mirror_of_the_word_scan(m):
                 assert mirrored == (failure[0], m + 1 - failure[1]), word
 
 
+@pytest.mark.parametrize("m", range(1, 4))
+def test_scan_from_reached_counts_matches_the_whole_scan(m):
+    # a prefix scanned from zero counts, then the rest from the counts it
+    # reached, gives the whole scan's answer at every cut of every word
+    quotas = (2,) * m
+    for length in range(2 * m + 1):
+        for word in product(range(1, m + 1), repeat=length):
+            whole = _scan_ballot(word, quotas)
+            for cut in range(length + 1):
+                reached = [0] * m
+                failure = _scan_ballot(word[:cut], None, start=reached)
+                if failure is None:
+                    assert reached == [word[:cut].count(s) for s in range(1, m + 1)]
+                    failure = _scan_ballot(word[cut:], quotas, start=reached)
+                assert failure == whole, (word, cut)
+
+
+# blocks for the quotas (2, 2): one good block, then a fault of each kind
+GOOD_TABLE = [(1, 2, 2)]
+FAULTY_BLOCKS = {
+    "non-ballot prefix": ((2, 1), [(1, 2)]),
+    # 1212 is good, 1221 is not: nothing of the table may be yielded
+    "non-ballot completion": ((1,), [(2, 1, 2), (2, 2, 1)]),
+    "ballot word off its quotas": ((1, 2), [(1,)]),
+    # the table already checked, now met from other counts: 11122
+    "checked table from other counts": ((1, 1), GOOD_TABLE),
+}
+ENUMERATORS = {
+    "words": (lambda: enumerate_lattice_words(2, 2), LatticeWord((1, 1, 2, 2), 2, 2)),
+    "paths": (lambda: enumerate_ballot_paths(2, 2), BallotPath((2, 2, 1, 1), 2, 2)),
+    "syt": (lambda: enumerate_syt(Partition((2, 2))), StandardTableau(((1, 2), (3, 4)))),
+}
+
+
+@pytest.mark.parametrize("kind", ENUMERATORS)
+@pytest.mark.parametrize("fault", FAULTY_BLOCKS)
+def test_a_faulty_generator_word_raises_before_it_is_yielded(monkeypatch, kind, fault):
+    def blocks(quotas):
+        if tuple(quotas) != (2, 2):
+            raise AssertionError(f"unexpected quotas {quotas}")
+        yield (1,), GOOD_TABLE
+        yield FAULTY_BLOCKS[fault]
+
+    monkeypatch.setattr(combinatorics, "_ballot_blocks", blocks)
+    enumerate_all, good = ENUMERATORS[kind]
+    seen = []
+    with pytest.raises(ValueError, match="ballot generator fault"):
+        for item in enumerate_all():
+            seen.append(item)
+    assert seen == [good]
+
+
+def test_enumerated_objects_equal_the_public_constructors_up_to_9_cells():
+    for total in range(10):
+        for shape in enumerate_partitions(total):
+            parts = shape.parts
+            for tableau in enumerate_syt(shape):
+                public = StandardTableau(_rows_from_word(tableau._row_word, len(parts)))
+                assert tableau == public and hash(tableau) == hash(public), tableau
+                assert tableau._row_word == public._row_word
+                assert str(tableau) == str(public)
+            if parts and shape.is_rectangular():
+                n, m = parts[0], len(parts)
+                for word in enumerate_lattice_words(n, m):
+                    public = LatticeWord(word.symbols, n, m)
+                    assert word == public and hash(word) == hash(public), word
+                    assert type(word.symbols) is tuple
+                for path in enumerate_ballot_paths(n, m):
+                    public = BallotPath(path.steps, n, m)
+                    assert path == public and hash(path) == hash(public), path
+                    assert type(path.steps) is tuple
+
+
 def test_row_word_constructor_matches_the_rows_constructor():
     for total in range(9):
         for shape in enumerate_partitions(total):
             parts = shape.parts
-            for row_word in _ballot_sequences(parts):
+            for row_word in _ballot_words(parts):
                 fast = StandardTableau._from_row_word(row_word, parts)
                 slow = StandardTableau(_rows_from_word(row_word, len(parts)))
                 assert fast.rows == slow.rows and fast._row_word == slow._row_word

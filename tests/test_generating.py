@@ -4,7 +4,7 @@ from operator import gt, lt
 import pytest
 from hypothesis import given, strategies as st
 
-from narayana.combinatorics import (BudgetExceededError, Partition, _ballot_sequences,
+from narayana.combinatorics import (BudgetExceededError, Partition, _checked_blocks,
                                     _descent_closed_form, enumerate_lattice_words,
                                     enumerate_partitions)
 from narayana.generating import (
@@ -130,7 +130,8 @@ def test_ballot_tally_matches_the_enumerated_tally_up_to_12_cells(compare, build
     # descends, the column-strict one where it ascends
     for total in range(13):
         for shape in enumerate_partitions(total):
-            expected = IntPolynomial(_tally(_ballot_sequences(shape.parts), total, compare))
+            words = (head + rest for head, tails in _checked_blocks(shape.parts) for rest in tails)
+            expected = IntPolynomial(_tally(words, total, compare))
             assert eulerian_polynomial(build(shape)) == expected, shape
 
 
