@@ -17,6 +17,7 @@ from .combinatorics import (
     StandardTableau,
     enumerate_ballot_paths,
     enumerate_lattice_words,
+    enumerate_lines,
     enumerate_partitions,
     enumerate_syt,
     is_lattice_word,
@@ -81,6 +82,7 @@ __all__ = [
     "column_strict_labeling",
     "enumerate_ballot_paths",
     "enumerate_lattice_words",
+    "enumerate_lines",
     "enumerate_partitions",
     "enumerate_syt",
     "eulerian_polynomial",

@@ -16,12 +16,17 @@ work is shared: each walked prefix once from zero counts, and each
 completion table once per count vector that a prefix scan reached, from
 those counts. Every symbol of every enumerated word is checked, and the
 objects are built from the checked sequences without a second scan.
+
+``enumerate_lines`` yields the string forms of those objects and builds
+none of them: it formats each checked prefix once per block and each
+checked completion once, where its table is checked, so each line is one
+concatenation (a word or path) or one %-format (a tableau).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial, perm, prod
 from operator import concat, gt, lt
 from typing import Callable, Iterator, Sequence
@@ -234,7 +239,12 @@ def _symbols_string(symbols: IntTuple, m: int) -> str:
     the one-digit form is a byte translation."""
     if m <= 9:
         return bytes(symbols).translate(_DIGITS).decode()
-    return ",".join(map(str, symbols))
+    return _comma_join(symbols)
+
+
+def _comma_join(values: Sequence[int]) -> str:
+    """The integers written out and separated by commas."""
+    return ",".join(map(str, values))
 
 
 def _relabel(symbols: Sequence[int], m: int) -> IntTuple:
@@ -499,7 +509,7 @@ def _ballot_blocks(
 
 
 def _checked_blocks(
-    quotas: Sequence[int], convert: Callable[[IntTuple], object] | None = None
+    quotas: Sequence[int], convert: Callable[[IntTuple, IntTuple], object] | None = None
 ) -> Iterator[tuple[IntTuple, list]]:
     """The blocks of ``_ballot_blocks(quotas)``, each checked by the ballot
     scan before it is yielded; a word that fails raises a ValueError.
@@ -508,15 +518,17 @@ def _checked_blocks(
     and each completion table from the counts that the prefix scan reached,
     once per count vector that it is met with. So every symbol of every word
     is scanned, but no word is scanned whole. ``convert``, when given, maps
-    each completion of a table once, at its check, and the blocks carry the
-    mapped completions in place of the table."""
+    each completion of a table once, at its check, as convert(completion,
+    reached counts), and the blocks carry the mapped completions in place of
+    the table."""
     k = len(quotas)
     # reached counts -> (the table checked from them, its completions as yielded)
     checked = {}
     for prefix, table in _ballot_blocks(quotas):
         reached = [0] * k
         failure = _scan_ballot(prefix, None, start=reached)
-        entry = checked.get(tuple(reached))
+        key = tuple(reached)
+        entry = checked.get(key)
         rest = ()  # the completion that failed, if one did
         if failure is None and (entry is None or entry[0] is not table):
             for rest in table:
@@ -524,8 +536,8 @@ def _checked_blocks(
                 if failure is not None:
                     break
             else:
-                tails = table if convert is None else list(map(convert, table))
-                entry = checked[tuple(reached)] = (table, tails)
+                tails = table if convert is None else [convert(rest, key) for rest in table]
+                entry = checked[key] = (table, tails)
         if failure is not None:
             raise ValueError(f"ballot generator fault: {prefix + rest} fails the scan at {failure}")
         yield prefix, entry[1]
@@ -553,9 +565,8 @@ def enumerate_ballot_paths(
     lexicographic word order under the symbol/step relabeling."""
     _check_budget(n * m, max_cells)
     build = BallotPath._checked
-    mirror = partial(_relabel, m=m)
-    for prefix, tails in _checked_blocks(_word_quotas(n, m), mirror):
-        head = mirror(prefix)
+    for prefix, tails in _checked_blocks(_word_quotas(n, m), lambda rest, _: _relabel(rest, m)):
+        head = _relabel(prefix, m)
         for tail in tails:
             yield build(head + tail, n, m)
 
@@ -568,18 +579,63 @@ def enumerate_syt(
     _check_budget(shape.cells, max_cells)
     parts = shape.parts
     k = len(parts)
-    cells = shape.cells
     build = StandardTableau._checked
 
-    def with_rows(rest: IntTuple) -> tuple[IntTuple, tuple[IntTuple, ...]]:
-        # convert sees checked completions only, and a checked word holds
-        # every cell, so rest starts after len(prefix) = cells - len(rest)
-        return rest, _row_positions(rest, k, cells - len(rest) + 1)
+    def with_rows(rest: IntTuple, reached: IntTuple) -> tuple[IntTuple, tuple[IntTuple, ...]]:
+        return rest, _row_positions(rest, k, sum(reached) + 1)
 
     for prefix, tails in _checked_blocks(parts, with_rows):
         head = _row_positions(prefix, k)
         for rest, tail in tails:
             yield build(tuple(map(concat, head, tail)), prefix + rest)
+
+
+def enumerate_lines(
+    kind: str, quotas: Sequence[int], max_cells: int | None = None
+) -> Iterator[str]:
+    """The string forms of the objects that the enumerator of the kind
+    yields, in its order, without building the objects: for ``"words"`` and
+    ``"paths"`` the quotas are (n,)*m, for ``"syt"`` the shape's parts.
+
+    Each checked prefix is formatted once for its block and each checked
+    completion once, at its check, so a line is one concatenation; a tableau
+    line is the prefix's format, one %s per row, filled with the completion's
+    row strings. A row string starts with a comma exactly when the prefix
+    reached that row, so it depends only on the counts that key the check."""
+    if kind not in ("words", "paths", "syt"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "syt":
+        quotas = Partition(tuple(quotas)).parts
+    else:
+        quotas = tuple(quotas)
+        if len(set(quotas)) > 1 or min(quotas, default=0) < 0:
+            raise ValueError(f"quotas of words and paths must be (n,)*m, got {quotas}")
+    _check_budget(sum(quotas), max_cells)
+    k = len(quotas)
+    if kind == "syt":
+
+        def row_strings(rest: IntTuple, reached: IntTuple) -> tuple[str, ...]:
+            rows = _row_positions(rest, k, sum(reached) + 1)
+            return tuple(
+                "," + _comma_join(row) if count and row else _comma_join(row)
+                for count, row in zip(reached, rows)
+            )
+
+        for prefix, tails in _checked_blocks(quotas, row_strings):
+            head = ";".join([_comma_join(row) + "%s" for row in _row_positions(prefix, k)])
+            yield from map(head.__mod__, tails)
+        return
+    mirrored = kind == "paths"
+
+    def symbols_string(symbols: IntTuple, _: object = None) -> str:
+        return _symbols_string(_relabel(symbols, k) if mirrored else symbols, k)
+
+    # every block but the one of an empty prefix has completions of
+    # _SUFFIX_SYMBOLS symbols, so a comma always follows a nonempty prefix
+    separator = "," if k > 9 else ""
+    for prefix, tails in _checked_blocks(quotas, symbols_string):
+        head = symbols_string(prefix) + separator if prefix else ""
+        yield from map(head.__add__, tails)
 
 
 def _hooks(shape: Partition) -> list[int]:

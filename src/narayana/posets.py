@@ -17,9 +17,8 @@ polynomial values come from the Eulerian series at every size;
 ``verify_order_gf`` checks it against a transfer matrix over chains of order
 ideals built from the listed covers and labels alone, bounded by the work it
 does (DEFAULT_MAX_CHAIN_WORK units of scanning, building and walking; every
-Ferrers poset up to the cell cap and a 12-element antichain fit).
-``_assignment_count``, a backtracking search over the maps, is only the
-tests' reference for both.
+Ferrers poset up to the cell cap and a 12-element antichain fit). The
+tests compare both with a backtracking search over the maps.
 """
 
 from __future__ import annotations
@@ -335,49 +334,6 @@ def eulerian_polynomial(poset: LabeledPoset) -> IntPolynomial:
     return IntPolynomial([packed >> (width * i) & mask for i in range(max(1, p))])
 
 
-def _assignment_count(poset: LabeledPoset, n: int) -> int:
-    # The reference that the tests compare ``_ideal_chain_counts`` and the
-    # series with; no command runs it.
-    # Elements are processed in a topological order, so when an element is
-    # placed all of its lower covers already hold values and give an upper
-    # bound (off by one across strict drops). Elements nothing depends on
-    # contribute a plain factor instead of a branch.
-    p = poset.size
-    if p == 0:
-        return 1
-    if n <= 0:
-        return 0
-    position = {element: idx for idx, element in enumerate(poset._topological_order)}
-    bounds: list[list[tuple[int, int]]] = [[] for _ in range(p)]
-    has_dependent = [False] * p
-    labels = poset.labels
-    for a, b in poset.covers:
-        drop = 1 if labels[a - 1] > labels[b - 1] else 0
-        bounds[position[b]].append((position[a], drop))
-        has_dependent[position[a]] = True
-    values = [0] * p
-
-    def count_from(idx: int) -> int:
-        if idx == p:
-            return 1
-        limit = n
-        for source, drop in bounds[idx]:
-            candidate = values[source] - drop
-            if candidate < limit:
-                limit = candidate
-        if limit <= 0:
-            return 0
-        if not has_dependent[idx]:
-            return limit * count_from(idx + 1)
-        total = 0
-        for value in range(limit, 0, -1):
-            values[idx] = value
-            total += count_from(idx + 1)
-        return total
-
-    return count_from(0)
-
-
 def _series_value(w: IntPolynomial, p: int, n: int) -> int:
     """Order polynomial at n of a p-element poset with Eulerian polynomial w."""
     if n == 0:
@@ -489,8 +445,8 @@ def order_polynomial_value(poset: LabeledPoset, n: int) -> int:
     Computed at every size by expanding the Eulerian numerator against
     binomials, in O(p) once ``eulerian_polynomial`` is known.
     ``verify_order_gf`` checks that expansion against the ideal-chain
-    transfer matrix; the assignment search ``_assignment_count`` is the
-    reference the tests compare both with.
+    transfer matrix, and the tests compare both with a search over the
+    maps.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import narayana
-from narayana import posets
+from narayana import cli, posets
 from narayana.cli import ENUMERATE_BLOCK, SUITES, main
 from narayana.generating import IdentityReport
 from narayana.posets import LabeledPoset, antichain_poset, chain_poset
@@ -188,6 +189,12 @@ ENUMERATE_DIGESTS = {
         "3f032d47638cc43964b79c3810c942944a113e76cc297f020e52c73a305d0112",
     "--kind syt --shape 5,4,3,1 --limit 4097":
         "9c8dc55a79368fe49895e3ddbf035cfed8e9271fe04a6f23a6d68ec7ead022af",
+    # the comma form of words and paths, two-digit tableau rows, and a
+    # request short enough that its one prefix is empty
+    "--kind paths --n 2 --m 10": "b135b9cf16ed8f76c11ef8f937b8c3cc54d0cda63d94698aa7df1c5f22dd8123",
+    "--kind syt --n 2 --m 10": "a82c1fd7e0180d1c336cde1b96c2a149a7a9de28fe1f793a39a68e864bc129ab",
+    "--kind paths --n 3 --m 2": "ad937adf7a861f58c939adedcd2d7ac03b03864cbf8d33946bab2d096ee50c4b",
+    "--kind words --n 1 --m 12": "9281791c16c9fdadc26b2d524d2db70375000750f2334e050c47a6c25c5198b2",
 }
 
 
@@ -302,6 +309,30 @@ class TestVerify:
         assert code == 0
         for suite in ("theorem21", "sulanke", "eq33", "ordergf"):
             assert f"suite {suite}:" in out
+
+    @pytest.mark.parametrize("terms", ["10", "11"])
+    def test_all_suites_stream_suite_by_suite(self, monkeypatch, terms):
+        # the stdout that each suite's first case sees: theorem21 is printed
+        # before sulanke runs; ordergf runs before anything is printed only
+        # past the default series terms, where a budget can refuse it
+        seen = {}
+
+        def spy(name, check):
+            def first_call_sees_stdout(*arguments):
+                seen.setdefault(name, sys.stdout.getvalue())
+                return check(*arguments)
+            monkeypatch.setattr(f"narayana.cli.{check.__name__}", first_call_sees_stdout)
+
+        spy("sulanke", cli.verify_sulanke_equidistribution)
+        spy("ordergf", cli.verify_order_gf)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        argv = ["verify", "--suite", "all", "--max-cells", "4", "--series-terms", terms]
+        assert main(argv) == 0
+        assert seen["sulanke"].endswith("suite theorem21: 8/8 passed\n")
+        if terms == "10":
+            assert seen["ordergf"].endswith("suite eq33: 11/11 passed\n")
+        else:
+            assert seen["ordergf"] == ""
 
     @staticmethod
     def _record_sweeps(monkeypatch) -> list:

@@ -14,6 +14,7 @@ from narayana.combinatorics import (
     StandardTableau,
     enumerate_ballot_paths,
     enumerate_lattice_words,
+    enumerate_lines,
     enumerate_partitions,
     enumerate_syt,
     is_lattice_word,
@@ -489,6 +490,9 @@ ENUMERATORS = {
     "words": (lambda: enumerate_lattice_words(2, 2), LatticeWord((1, 1, 2, 2), 2, 2)),
     "paths": (lambda: enumerate_ballot_paths(2, 2), BallotPath((2, 2, 1, 1), 2, 2)),
     "syt": (lambda: enumerate_syt(Partition((2, 2))), StandardTableau(((1, 2), (3, 4)))),
+    "word lines": (lambda: enumerate_lines("words", (2, 2)), "1122"),
+    "path lines": (lambda: enumerate_lines("paths", (2, 2)), "2211"),
+    "syt lines": (lambda: enumerate_lines("syt", (2, 2)), "1,2;3,4"),
 }
 
 
@@ -561,17 +565,33 @@ def _joined(symbols, m):
 
 
 def test_word_and_path_strings_are_the_joined_symbols():
-    # nm <= 12 reaches m = 10, 11 and 12, where the comma form takes over
-    for n in range(1, 13):
-        for m in range(1, 12 // n + 1):
+    # every rectangle of at most 14 cells: m = 10..14 take the comma form, and
+    # at most six cells, or none, make one block with an empty prefix
+    for n in range(15):
+        for m in range(15 if n == 0 else 14 // n + 1):
             words = list(enumerate_lattice_words(n, m))
             paths = list(enumerate_ballot_paths(n, m))
             assert [str(w) for w in words] == [_joined(w.symbols, m) for w in words]
             assert [str(p) for p in paths] == [_joined(p.steps, m) for p in paths]
             assert all(LatticeWord.from_string(str(w), n, m) == w for w in words)
+            assert list(enumerate_lines("words", (n,) * m)) == list(map(str, words)), (n, m)
+            assert list(enumerate_lines("paths", (n,) * m)) == list(map(str, paths)), (n, m)
     assert str(LatticeWord(tuple(range(1, 11)), 1, 10)) == "1,2,3,4,5,6,7,8,9,10"
     assert str(BallotPath((2, 1), 1, 2)) == "21"
     assert str(LatticeWord((), 0, 3)) == ""
+
+
+def test_line_generator_refuses_bad_requests():
+    with pytest.raises(ValueError, match="unknown kind"):
+        next(enumerate_lines("tableaux", (2, 2)))
+    for kind, quotas in (("words", (2, 1)), ("paths", (-1,)), ("syt", (2, 0)), ("syt", (1, 2))):
+        with pytest.raises(ValueError):
+            next(enumerate_lines(kind, quotas))
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_lines("syt", (5, 5, 5, 5, 5)))
+    assert list(enumerate_lines("words", (3, 3), max_cells=6)) == [
+        "111222", "112122", "112212", "121122", "121212"
+    ]
 
 
 def test_tableau_strings_are_the_joined_rows():
@@ -581,4 +601,5 @@ def test_tableau_strings_are_the_joined_rows():
             tableaux = list(enumerate_syt(shape))
             expected = [";".join([",".join(map(str, row)) for row in t.rows]) for t in tableaux]
             assert list(map(str, tableaux)) == expected
+            assert list(enumerate_lines("syt", shape.parts)) == expected
     assert str(StandardTableau(((1, 2, 5), (3, 4)))) == "1,2,5;3,4"
