@@ -2,8 +2,8 @@
 
 Enumeration of lattice words, ballot paths, and standard Young tableaux;
 descent generating functions; labeled-poset Eulerian polynomials and order
-polynomials; and Sturm-certified real-rootedness (hence log-concavity and
-unimodality) over arbitrary-precision integers.
+polynomials; and real-rootedness certified by exact root counts (hence
+log-concavity and unimodality) over arbitrary-precision integers.
 """
 
 __version__ = "0.1.0"

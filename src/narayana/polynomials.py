@@ -5,12 +5,14 @@ degree first. Real-root counting runs on Sturm sequences built from integer
 pseudo-remainders that are only ever rescaled by positive factors, so sign
 patterns are exact; evaluations at rational points use ``Fraction``. A
 palindromic polynomial of degree d is certified through a polynomial of
-degree floor(d/2) in t + 1/t; failing that, one with a repeated root is
-split into Yun's square-free factors, each certified on its own, with gcds
-from images modulo Mersenne primes accepted only by exact division; the
-certificate is always the one the plain chain gives. No floating point
-enters any certification path. ``compare_sequences`` reports the first
-mismatch of two coefficient vectors (``IdentityReport``).
+degree floor(d/2) in t + 1/t. Failing that, a polynomial of degree 16 or
+more is split into Yun's square-free factors, with gcds from images modulo
+Mersenne primes accepted only by exact division, and each factor's real
+roots are counted by Descartes' rule of signs with bisection on integer
+Bernstein coefficients; below degree 16 the Sturm chain of p decides. The
+certificate is always the one the chain gives. No floating point enters any
+certification path. ``compare_sequences`` reports the first mismatch of two
+coefficient vectors (``IdentityReport``).
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd
-from operator import ne
+from functools import reduce
+from itertools import accumulate, zip_longest
+from math import comb, gcd, lcm
+from operator import add, ne, or_
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -168,10 +171,12 @@ class IntPolynomial:
 # Moduli of the gcd images, in the order they are tried: Mersenne primes.
 _GCD_MODULI = tuple(2**k - 1 for k in (127, 521, 1279, 2203, 4423))
 
-# Least degree at which is_real_rooted splits p into square-free factors:
-# on Eulerian and palindromic products times a squared linear factor, the
+# Least degree at which is_real_rooted splits p into square-free factors and
+# counts their real roots by Descartes' rule instead of building the chain of
+# p: on Eulerian and palindromic products times a squared linear factor, the
 # split and the chain of p cost the same at degree 16, and the split is
-# cheaper from there on (see README).
+# cheaper from there on; below it, the chain also beats the Descartes counter
+# (see README).
 SQUARE_FREE_SPLIT_DEGREE = 16
 
 
@@ -376,6 +381,96 @@ def _variations(values: Iterable[Rational]) -> int:
     return sum(map(ne, signs, signs[1:]))
 
 
+def _root_bound_exponent(coefficients: Sequence[int]) -> int:
+    """A k with every complex root of p strictly inside |z| < 2**k.
+
+    Fujiwara's bound: with 2**s >= |a_(d-i) / a_d| ** (1/i) for every i, a z
+    with |z| >= 2**(s+1) has |a_d z**d| > sum over i of |a_(d-i) z**(d-i)|,
+    because each term is at most |a_d| |z|**d / 2**i. The least such s is
+    found in integers from the least e_i >= 0 with |a_d| 2**e_i >= |a_(d-i)|.
+    """
+    lead = abs(coefficients[-1])
+    s = 0
+    for i, c in enumerate(reversed(coefficients[:-1]), 1):
+        c = abs(c)
+        e = max(0, c.bit_length() - lead.bit_length())
+        if lead << e < c:
+            e += 1
+        s = max(s, -(-e // i))
+    return s + 1
+
+
+def _bernstein_halves(b: list[int]) -> tuple[list[int], list[int]]:
+    """The Bernstein coefficients of both halves of an interval, times 2**d,
+    by de Casteljau's triangle of sums: row r holds 2**r times the averages."""
+    d = len(b) - 1
+    left, right = [b[0] << d], [b[-1] << d]
+    for shift in range(d - 1, -1, -1):
+        b = list(map(add, b, b[1:]))
+        left.append(b[0] << shift)
+        right.append(b[-1] << shift)
+    right.reverse()
+    return left, right
+
+
+def _positive_root_count(coefficients: Sequence[int], k: int) -> int:
+    """Distinct roots in (0, 2**k) of a square-free p with p(0) != 0, by
+    Descartes' rule of signs with bisection (Collins and Akritas 1976) in the
+    Bernstein basis (Mourrain, Rouillier and Roy 2005).
+
+    The sign variations of p's coefficients bound its positive roots and have
+    their parity, so 0 or 1 variations is the count. Otherwise p(2**k u) is
+    written as sum_j b_j C(d, j) u**j (1 - u)**(d - j) on [0, 1]. The
+    numbers C(d, j) b_j are the coefficients of sum_i a_i 2**(k i) y**i
+    (1 + y)**(d - i), a Taylor shift that d rounds of prefix sums compute,
+    and the lcm of the binomials makes every b_j an integer. Their sign
+    variations bound the roots in the open interval in the same way, so an
+    interval with 0 or 1 is settled and any other is halved, a root at its
+    midpoint counted once. For square-free p the halving ends (Krandick and
+    Mehlhorn 2006).
+    """
+    variations = _variations(coefficients)
+    if variations < 2:
+        return variations
+    d = len(coefficients) - 1
+    bernstein = [c << (k * i) for i, c in enumerate(coefficients)]
+    for n in range(d + 1, 1, -1):
+        bernstein[:n] = accumulate(bernstein[:n])
+    binomials = [comb(d, j) for j in range(d + 1)]
+    scale = lcm(*binomials)
+    bernstein = [c * (scale // b) for c, b in zip(bernstein, binomials)]
+    g = gcd(*bernstein)
+    count = 0
+    pending = [[c // g for c in bernstein]]
+    while pending:
+        b = pending.pop()
+        variations = _variations(b)
+        if variations < 2:
+            count += variations
+            continue
+        # drop the common power of 2 that the halving piles up
+        low = reduce(or_, b)
+        b = [c >> ((low & -low).bit_length() - 1) for c in b]
+        left, right = _bernstein_halves(b)
+        count += not right[0]
+        pending += (left, right)
+    return count
+
+
+def _descartes_root_count(coefficients: Sequence[int]) -> int:
+    """Number of distinct real roots of a square-free p of positive degree:
+    the root 0 if p has it, and the roots in (0, 2**k) of p(t) and of p(-t),
+    with 2**k a root bound (``_root_bound_exponent``)."""
+    at_zero = int(not coefficients[0])
+    if at_zero:
+        coefficients = coefficients[1:]
+    if len(coefficients) == 1:
+        return at_zero
+    k = _root_bound_exponent(coefficients)
+    mirror = [-c if i % 2 else c for i, c in enumerate(coefficients)]
+    return at_zero + _positive_root_count(coefficients, k) + _positive_root_count(mirror, k)
+
+
 def _variations_at_infinity(chain: Sequence[Sequence[int]], positive: bool) -> int:
     # at -infinity, an element of odd degree (even length) has the sign of -lc
     return _variations(q[-1] if positive or len(q) % 2 else -q[-1] for q in chain)
@@ -422,27 +517,17 @@ def sturm_real_root_count(
 
 @dataclass(frozen=True)
 class RealRootCertificate:
-    """Sturm-count evidence for or against every root being real.
+    """Exact evidence for or against every root being real.
 
     The verdict compares the number of distinct real roots against the degree
-    of the square-free part; those agree exactly when all roots are real. The
-    two variation counts are those of the remainder chain of ``p`` and ``p'``
-    at minus and plus infinity; their difference is the distinct real root
-    count. For square-free ``p`` that chain is the Sturm chain of ``p``.
-
-    ``is_real_rooted`` may accept a palindromic ``p``, or one with a repeated
-    root, without building that chain (see there); the five fields are then
-    still the ones the chain of ``p`` gives, because for real-rooted ``p``
-    they are forced: the chain has at most ``square_free_degree + 1``
-    elements, so its variations are ``square_free_degree`` at minus infinity
-    and 0 at plus infinity.
+    of the square-free part; those agree exactly when all roots are real.
+    Whichever route of ``is_real_rooted`` answers, both numbers are those the
+    Sturm chain of the square-free part of ``p`` gives.
     """
 
     real_rooted: bool
     square_free_degree: int
     distinct_real_roots: int
-    variations_at_negative_infinity: int
-    variations_at_positive_infinity: int
 
     def __bool__(self) -> bool:
         return self.real_rooted
@@ -454,15 +539,11 @@ def _plain_certificate(coefficients: Sequence[int]) -> RealRootCertificate:
     if not coefficients:
         raise ValueError("the zero polynomial has no root certificate")
     if len(coefficients) == 1:
-        return RealRootCertificate(True, 0, 0, 0, 0)
+        return RealRootCertificate(True, 0, 0)
     chain = _remainder_chain(coefficients, _derivative(coefficients))
     square_free_degree = len(coefficients) - len(chain[-1])
-    at_neg = _variations_at_infinity(chain, positive=False)
-    at_pos = _variations_at_infinity(chain, positive=True)
-    count = at_neg - at_pos
-    return RealRootCertificate(
-        count == square_free_degree, square_free_degree, count, at_neg, at_pos
-    )
+    count = _variations_at_infinity(chain, positive=False) - _variations_at_infinity(chain, positive=True)
+    return RealRootCertificate(count == square_free_degree, square_free_degree, count)
 
 
 def _half_degree(coefficients: Sequence[int]) -> list[int]:
@@ -489,7 +570,8 @@ def _half_degree(coefficients: Sequence[int]) -> list[int]:
 
 def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate | None:
     """The certificate of a real-rooted palindromic p of degree d >= 2,
-    found at half the degree, or None when this route cannot certify it.
+    found at half the degree, or None when this route cannot certify it or
+    p is no such polynomial.
 
     For odd d, p = (1 + t) p1; otherwise p1 = p. With p1 = t**h q(t + 1/t),
     each root s of q gives the roots t, 1/t of t**2 - s t + 1, which are real
@@ -499,8 +581,10 @@ def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate
     2h - [q(-2) = 0] - [q(2) = 0] + [d odd and q(-2) != 0] distinct roots.
     The chain of q counts its roots in (-2, 2] as V(-2) - V(2). None (q has
     a repeated or non-real root, or one in (-2, 2)) leaves the decision to
-    the plain chain.
+    the other routes.
     """
+    if len(coefficients) < 3 or coefficients != coefficients[::-1]:
+        return None
     odd = len(coefficients) % 2 == 0
     q = _half_degree(_exact_div(coefficients, (1, 1)) if odd else coefficients)
     h = len(q) - 1
@@ -513,53 +597,52 @@ def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate
     if _variations_at_point(chain, -2) - _variations_at_point(chain, 2) != root_at_two:
         return None
     square_free_degree = 2 * h - root_at_minus_two - root_at_two + (odd and not root_at_minus_two)
-    return RealRootCertificate(True, square_free_degree, square_free_degree, square_free_degree, 0)
+    return RealRootCertificate(True, square_free_degree, square_free_degree)
 
 
 def is_real_rooted(p: IntPolynomial) -> RealRootCertificate:
     """Certify whether every complex root of ``p`` is real.
 
-    One remainder chain of ``p`` and ``p'`` gives both counts that are
-    compared: its last element is gcd(p, p'), whose degree is what the
-    multiplicities add beyond the square-free part, and its sign variations
-    count the distinct real roots. Constant polynomials are trivially
-    real-rooted.
+    The certificate compares the number of distinct real roots with the
+    degree of the square-free part; constants are trivially real-rooted.
+    A palindromic ``p`` of degree d >= 2 is tried first at half the degree:
+    after dividing out 1 + t when d is odd, p = t**h q(t + 1/t) with
+    h = floor(d/2), and one chain of q and q' accepts ``p`` when q has h
+    simple real roots, none in (-2, 2).
 
-    A palindromic ``p`` (coefficients equal to their reverse) of degree
-    d >= 2 is tried first at half the degree: after dividing out 1 + t when
-    d is odd, p = t**h q(t + 1/t) with deg q = h = floor(d/2), and one chain
-    of ``q`` and ``q'`` with its variations at -infinity, -2, 2 and +infinity
-    accepts ``p`` when q has h simple real roots, none in (-2, 2).
-
-    When that route declines and d >= ``SQUARE_FREE_SPLIT_DEGREE``, ``p`` is
-    split into Yun's square-free factors, whose gcds come from modular images
-    accepted only by exact division (``_checked_gcd``). ``p`` is real-rooted
-    exactly when every factor is, and each factor is certified by the
-    palindromic route or by its own chain, far cheaper than the chain of
-    ``p``, whose coefficients grow with the repeated root. When every factor
-    is real-rooted the certificate is the one the chain of ``p`` is forced to
-    give (see ``RealRootCertificate``).
-
-    Every other input, a square-free one or one with a factor that is not
-    real-rooted, gets the chain of ``p``. Either way the certificate equals
-    the one that chain gives, field by field.
+    Otherwise, below degree ``SQUARE_FREE_SPLIT_DEGREE``, one remainder chain
+    of p and p' decides: its last element is gcd(p, p'), and its sign
+    variations at -infinity and +infinity count the distinct real roots.
+    From that degree on, Yun's algorithm splits ``p`` into square-free
+    factors, with gcds from modular images accepted only by exact division
+    (``_checked_gcd``); a gcd image of degree 0 proves ``p`` square-free,
+    and ``p`` is then the only factor. Each factor is accepted by the
+    palindromic route or its real roots are counted by Descartes' rule of
+    signs (``_descartes_root_count``). Every route gives the chain's
+    certificate.
     """
-    return _certificate(p.coefficients, split=True)
+    coefficients = p.coefficients
+    certificate = _palindromic_certificate(coefficients)
+    if certificate is not None:
+        return certificate
+    if len(coefficients) <= SQUARE_FREE_SPLIT_DEGREE:
+        return _plain_certificate(coefficients)
+    factors = _square_free_factors(coefficients)
+    if factors is None:
+        # the palindromic route has declined p already
+        square_free_degree = len(coefficients) - 1
+        count = _descartes_root_count(coefficients)
+    else:
+        square_free_degree = sum(len(f) - 1 for f in factors)
+        count = sum(_square_free_root_count(f) for f in factors)
+    return RealRootCertificate(count == square_free_degree, square_free_degree, count)
 
 
-def _certificate(coefficients: Sequence[int], split: bool) -> RealRootCertificate:
-    """``is_real_rooted`` on a coefficient list; ``split`` allows the
-    square-free split, which a square-free factor of it does not need."""
-    if len(coefficients) > 2 and coefficients == coefficients[::-1]:
-        certificate = _palindromic_certificate(coefficients)
-        if certificate is not None:
-            return certificate
-    if split and len(coefficients) > SQUARE_FREE_SPLIT_DEGREE:
-        factors = _square_free_factors(coefficients)
-        if factors and all(_certificate(f, split=False).real_rooted for f in factors):
-            k = sum(len(f) - 1 for f in factors)
-            return RealRootCertificate(True, k, k, k, 0)
-    return _plain_certificate(coefficients)
+def _square_free_root_count(coefficients: Sequence[int]) -> int:
+    """Distinct real roots of a square-free factor of positive degree."""
+    if _palindromic_certificate(coefficients) is not None:
+        return len(coefficients) - 1
+    return _descartes_root_count(coefficients)
 
 
 def _warn_on_negative(coefficients: Sequence[int], check: str) -> None:

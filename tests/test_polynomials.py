@@ -11,8 +11,11 @@ import narayana.polynomials as polynomials_module
 from narayana.polynomials import (
     SQUARE_FREE_SPLIT_DEGREE,
     IntPolynomial,
+    _descartes_root_count,
     _palindromic_certificate,
     _plain_certificate,
+    _remainder_chain,
+    _root_bound_exponent,
     is_log_concave,
     is_real_rooted,
     is_unimodal,
@@ -160,10 +163,28 @@ def test_real_rooted_ignores_multiplicity():
     assert not is_real_rooted(mixed)
 
 
+def _chain_variations(poly):
+    """Sign variations of the remainder chain of p and p' at -infinity and
+    +infinity, read off the leading coefficients of its elements."""
+    if poly.degree < 1:
+        return 0, 0
+    chain = _remainder_chain(poly.coefficients, poly.derivative().coefficients)
+
+    def variations(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_positive = [q[-1] > 0 for q in chain]
+    at_negative = [(q[-1] > 0) == (len(q) % 2 == 1) for q in chain]
+    return variations(at_negative), variations(at_positive)
+
+
 def test_real_rooted_certificate_fields():
-    certificate = is_real_rooted(P(1, 3, 1))
-    assert certificate.variations_at_negative_infinity == 2
-    assert certificate.variations_at_positive_infinity == 0
+    poly = P(1, 3, 1)
+    certificate = is_real_rooted(poly)
+    at_negative, at_positive = _chain_variations(poly)
+    assert (at_negative, at_positive) == (2, 0)
+    assert at_negative - at_positive == certificate.distinct_real_roots
+    assert (certificate.real_rooted, certificate.square_free_degree) == (True, 2)
     assert bool(certificate) is True
 
 
@@ -351,11 +372,8 @@ def test_certificate_matches_a_known_root_structure(roots, quadratics, scale):
     assert certificate.real_rooted == (not quadratics)
     assert certificate.square_free_degree == len(roots) + 2 * len(quadratics)
     assert certificate.distinct_real_roots == len(roots)
-    assert (
-        certificate.variations_at_negative_infinity
-        - certificate.variations_at_positive_infinity
-        == len(roots)
-    )
+    at_negative, at_positive = _chain_variations(poly)
+    assert at_negative - at_positive == certificate.distinct_real_roots
 
 
 # palindromic factors with real roots: (a t + 1)(t + a), 1 + t and (t - 1)^2;
@@ -429,6 +447,64 @@ def _eulerian(n):
     return IntPolynomial(row)
 
 
+def _with_roots(roots):
+    """prod (b t - a) over the roots a/b, in lowest terms."""
+    poly = IntPolynomial.one()
+    for root in roots:
+        poly = poly * P(-root.numerator, root.denominator)
+    return poly
+
+
+_dyadic = st.builds(lambda k, j: Fraction(k, 2**j), st.integers(-64, 64), st.integers(0, 6))
+
+
+@st.composite
+def _square_free_products(draw):
+    """A square-free product and its number of real roots: distinct rational
+    roots (dyadic k/2^j, which fall on bisection midpoints, 0 and both
+    signs), close pairs a/1000 and (a+1)/1000, distinct irreducible
+    quadratics t^2 + b t + c, and in half the draws the Eulerian A_29, whose
+    coefficients pass 100 bits (A_n(-1) != 0 for odd n, so its roots, real
+    and irrational, are none of the others); fewer other factors come with
+    it, which keeps the chain of the product cheap."""
+    eulerian = draw(st.booleans())
+    room = 1 if eulerian else 2
+    roots = set(draw(st.lists(_dyadic, max_size=3 * room)))
+    for a in draw(st.lists(st.integers(-3000, 3000), max_size=room)):
+        roots |= {Fraction(a, 1000), Fraction(a + 1, 1000)}
+    poly = _with_roots(roots) * draw(st.integers(-3, 3).filter(bool))
+    quadratics = st.tuples(st.integers(-4, 4), st.integers(1, 6))
+    for b, excess in draw(st.lists(quadratics, max_size=room, unique=True)):
+        poly = poly * P(b * b // 4 + excess, b, 1)
+    if eulerian:
+        return poly * _eulerian(29), len(roots) + 28
+    return poly, len(roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_free_products())
+def test_descartes_count_equals_the_chain(product):
+    poly, count = product
+    if poly.degree < 1:
+        return
+    at_negative, at_positive = _chain_variations(poly)
+    assert _descartes_root_count(poly.coefficients) == at_negative - at_positive == count
+
+
+@pytest.mark.parametrize("j", range(2, 9))
+def test_descartes_count_at_the_root_bound_and_the_midpoints(j):
+    # roots at -2**j and 2**j, with two more at 1 and 2 so that the positive
+    # side is bisected: Fujiwara's bound puts 2**j at half the bound, and a
+    # bound one bit lower would put it on the boundary
+    poly = P(-(4**j), 0, 1) * P(-1, 1) * P(-2, 1)
+    assert 2**j < 2 ** _root_bound_exponent(poly.coefficients) <= 2 ** (j + 1)
+    assert _descartes_root_count(poly.coefficients) == 4
+    # k/4 for |k| <= j, 0 among them: every root is a dyadic midpoint
+    quarters = _with_roots(Fraction(k, 4) for k in range(-j, j + 1))
+    assert _descartes_root_count(quarters.coefficients) == 2 * j + 1
+    assert _descartes_root_count((quarters * P(1, 0, 1)).coefficients) == 2 * j + 1
+
+
 # factors with simple roots: real-rooted palindromes (a t + 1)(t + a) and
 # 1 + t, rational linear factors b t + c, and irreducible quadratics
 _split_factors = st.one_of(
@@ -468,15 +544,22 @@ def _palindromic_product(factors):
 
 
 def _takes_the_split(poly, monkeypatch):
-    """is_real_rooted(poly), asserting that the chain of poly itself is never built."""
+    """is_real_rooted(poly), asserting that the chain of poly itself is never
+    built, neither for a certificate nor as a gcd's fallback."""
     lengths = []
     plain = polynomials_module._plain_certificate
+    chain = polynomials_module._remainder_chain
 
-    def spy(coefficients):
+    def plain_spy(coefficients):
         lengths.append(len(coefficients))
         return plain(coefficients)
 
-    monkeypatch.setattr(polynomials_module, "_plain_certificate", spy)
+    def chain_spy(a, b):
+        lengths.append(len(a))
+        return chain(a, b)
+
+    monkeypatch.setattr(polynomials_module, "_plain_certificate", plain_spy)
+    monkeypatch.setattr(polynomials_module, "_remainder_chain", chain_spy)
     certificate = is_real_rooted(poly)
     monkeypatch.undo()
     assert len(poly.coefficients) not in lengths
@@ -498,6 +581,24 @@ def test_repeated_roots_take_the_split_and_equal_the_chain(make, monkeypatch):
     certificate = _takes_the_split(poly, monkeypatch)
     assert certificate.real_rooted
     assert certificate == _plain_certificate(poly.coefficients)
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: _eulerian(47) * P(1, 1, 1), (False, 48, 46)),
+        (lambda: P(1, 1, 1) * P(1, 1, 1) * _eulerian(14), (False, 15, 13)),
+    ],
+    ids=["eulerian47-palindromic-no", "eulerian14-repeated-no"],
+)
+def test_the_no_path_builds_no_chain_of_p(make, expected, monkeypatch):
+    # a palindromic input whose q has a non-real root, and one whose repeated
+    # factor t^2 + t + 1 is not real-rooted; the expected counts are those the
+    # chain of p gives (0.3 s for the first, so it is not rebuilt here)
+    poly = make()
+    assert poly.degree >= SQUARE_FREE_SPLIT_DEGREE
+    certificate = _takes_the_split(poly, monkeypatch)
+    assert (certificate.real_rooted, certificate.square_free_degree, certificate.distinct_real_roots) == expected
 
 
 # (3t + 1)^2 t (t + 1)(t + 5): 3 divides the leading coefficient, and modulo
