@@ -55,13 +55,10 @@ EXIT_BUDGET = 3
 
 # suite: default ceiling; every sweep stops at the cell cap DEFAULT_MAX_CELLS
 # and enumerates nothing (theorem21: word DP vs closed form, sulanke: word DP
-# vs tableau DP, eq33: tableau DP vs closed form, ordergf: order polynomials
-# counted as ideal chains by a transfer matrix vs the Eulerian series; each
-# engine is bounded by its own budget in the library)
+# vs tableau DP, eq33: tableau DP vs closed form, ordergf: strict ideal
+# chains vs the Eulerian numerator; each engine is bounded by its own budget
+# in the library)
 SUITES = {"theorem21": 16, "sulanke": 16, "eq33": 10, "ordergf": 7}
-
-# default --series-terms of the ordergf suite
-SERIES_TERMS = 10
 
 FORMAT_CHOICES = {"poly": ("plain", "json", "csv"), "analyze": ("plain", "json")}
 
@@ -93,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config",
         metavar="FILE",
-        help="JSON file with defaults for cache, jobs, max_cells, series_terms, format",
+        help="JSON file with defaults for cache, jobs, max_cells, format",
     )
     commands = parser.add_subparsers(dest="command", metavar="command")
 
@@ -135,10 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--series-terms",
-        type=_nonnegative,
-        default=None,
+        metavar="N",
         dest="series_terms",
-        help="series coefficients compared by the ordergf suite (default 10)",
+        help="accepted and ignored (ordergf compares every coefficient)",
     )
     verify.add_argument(
         "--jobs", type=_positive, default=None, help="worker processes (default 1)"
@@ -225,8 +221,10 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
         args.max_cells = setting("max_cells", lambda v: _positive(str(v)), None)
     if hasattr(args, "jobs") and args.jobs is None:
         args.jobs = setting("jobs", lambda v: _positive(str(v)), 1)
-    if hasattr(args, "series_terms") and args.series_terms is None:
-        args.series_terms = setting("series_terms", lambda v: _nonnegative(str(v)), SERIES_TERMS)
+    if hasattr(args, "series_terms") and (
+        args.series_terms is not None or "series_terms" in config
+    ):
+        print("note: series terms are ignored; ordergf compares every coefficient", file=sys.stderr)
     if hasattr(args, "format") and args.format is None:
         args.format = setting("format", choice, "plain")
     if hasattr(args, "cache"):
@@ -318,7 +316,7 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _cases(suite: str, cells: int, terms: int, poset: LabeledPoset | None) -> list[tuple]:
+def _cases(suite: str, cells: int, poset: LabeledPoset | None) -> list[tuple]:
     """The suite's (label, check, arguments) triples, in output order. Each
     check is a module-level library function, so a case pickles by reference."""
     if suite in ("theorem21", "sulanke"):
@@ -326,13 +324,13 @@ def _cases(suite: str, cells: int, terms: int, poset: LabeledPoset | None) -> li
         return [(f"n={n} m={m}", check, (n, m))
                 for n in range(1, cells + 1) for m in range(1, cells // n + 1)]
     if suite == "ordergf" and poset is not None:
-        return [(f"poset p={poset.size} terms={terms}", verify_order_gf, (poset, terms))]
+        return [(f"poset p={poset.size}", verify_order_gf, (poset,))]
     shapes = [shape for total in range(1, cells + 1) for shape in enumerate_partitions(total)]
     if suite == "eq33":
         return [(f"shape={shape}", verify_ferrers_eulerian_identity, (shape,)) for shape in shapes]
-    posets = [(f"shape={shape}", column_strict_ferrers_poset(shape)) for shape in shapes]
-    posets.append(("antichain p=3", antichain_poset(3)))
-    return [(f"{name} terms={terms}", verify_order_gf, (each, terms)) for name, each in posets]
+    cases = [(f"shape={shape}", verify_order_gf, (column_strict_ferrers_poset(shape),))
+             for shape in shapes]
+    return cases + [("antichain p=3", verify_order_gf, (antichain_poset(3),))]
 
 
 def _check(case: tuple):
@@ -358,18 +356,17 @@ def cmd_verify(args) -> int:
             print(f"note: suite {suite} sweeps up to {DEFAULT_MAX_CELLS} cells (its cap)",
                   file=sys.stderr)
         cells = min(args.max_cells or SUITES[suite], DEFAULT_MAX_CELLS)
-        planned.append((suite, _cases(suite, cells, args.series_terms, poset)))
+        planned.append((suite, _cases(suite, cells, poset)))
     pooled = args.jobs > 1 and sum(len(each) for _, each in planned) > 1
     first_failure = None
     with ProcessPoolExecutor(args.jobs) if pooled else contextlib.nullcontext() as executor:
         run = functools.partial(executor.map if pooled else map, _check)
-        # only ordergf cases can exceed a budget, and of those only a --poset
-        # case or a sweep past the default series terms (the costliest sweep
-        # case, shape 10,5,3,2,1,1, fits the chain budget up to 369 terms):
-        # they run before the first line is printed, so a refusal leaves
-        # stdout empty, and the output streams suite by suite
+        # only a --poset case can exceed a budget (the costliest sweep case,
+        # shape 9,5,3,2,1,1,1, takes 3% of the chain budget): it runs before
+        # the first line is printed, so a refusal leaves stdout empty, and
+        # the output streams suite by suite
         kept = {}
-        if "ordergf" in suites and (poset is not None or args.series_terms > SERIES_TERMS):
+        if poset is not None:
             kept["ordergf"] = list(run(dict(planned)["ordergf"]))
         for suite, each in planned:
             suite_reports = kept[suite] if suite in kept else list(run(each))

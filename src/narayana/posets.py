@@ -14,10 +14,10 @@ runs it on labeled Ferrers posets for the tableau and word tallies.
 ``linear_extensions`` and ``jordan_holder_set`` remain as the enumerators it
 is tested against, up to DEFAULT_MAX_EXTENSION_ELEMENTS elements. Order
 polynomial values come from the Eulerian series at every size;
-``verify_order_gf`` checks it against a transfer matrix over chains of order
-ideals built from the listed covers and labels alone, bounded by the work it
-does (DEFAULT_MAX_CHAIN_WORK units of scanning, building and walking; every
-Ferrers poset up to the cell cap and a 12-element antichain fit). The
+``verify_order_gf`` checks the whole Eulerian numerator against the strict
+chains of order ideals (Stanley EC1 3.12, labeled as in 3.15), counted in
+one pass from the listed covers and labels alone and bounded by the work it
+does (DEFAULT_MAX_CHAIN_WORK units of scanning, building and stepping). The
 tests compare both with a backtracking search over the maps.
 """
 
@@ -34,10 +34,11 @@ from .combinatorics import BudgetExceededError, Partition, _descent_closed_form
 from .polynomials import IdentityReport, IntPolynomial, compare_sequences
 
 DEFAULT_MAX_EXTENSION_ELEMENTS = 12
-# units of ideal-chain work (see _ideal_chain_counts): a 12-element antichain
-# takes 6,422,348 at 10 terms (0.05M scanned, 0.53M offered, 5.85M walked),
-# and no unit costs much over 0.1 us, so a refusal comes in under a second
-DEFAULT_MAX_CHAIN_WORK = 7_000_000
+# units of ideal-chain work (see _ideal_chain_counts): a 13-element antichain
+# takes 3,278,745 (0.11M scanned, 1.59M offered, 1.59M stepped), and refusing
+# antichains, chains or unions of chains costs at most ~0.3 us a unit, so
+# those refusals come in under a second
+DEFAULT_MAX_CHAIN_WORK = 3_300_000
 DEFAULT_MAX_IDEALS = 2**14
 
 
@@ -355,26 +356,24 @@ def _cover_masks(poset: LabeledPoset) -> tuple[list[int], list[int]]:
     return lower, inverted
 
 
-def _ideal_chain_counts(poset: LabeledPoset, terms: int) -> tuple[int, ...]:
-    """Order polynomial values at n = 1..terms+1, from one transfer matrix.
-
-    A map counted by ``order_polynomial_value`` is a chain of order ideals
-    {} = J_0 <= J_1 <= ... <= J_n = P, with J_i the elements whose value is at
-    least n+1-i (the (P, w)-partitions of Stanley, EC1 3.15). A step from I
-    to J is allowed when the level J - I holds no listed pair (a, b) with
-    label(a) > label(b), so the value at n counts the n-step walks from the
-    empty ideal to P, and each pass of one vector over the step lists gives
-    the next n. A step is a pair of nested subsets, so there are at most 3^p.
+def _ideal_chain_counts(poset: LabeledPoset) -> tuple[int, ...]:
+    """Entry k, s_k, counts the strict chains {} = J_0 < ... < J_k = P of
+    order ideals whose levels J_i - J_(i-1) hold no listed pair (a, b) with
+    label(a) > label(b). A map counted by ``order_polynomial_value`` at n is
+    a weak chain of n such levels (the (P, w)-partitions of Stanley, EC1
+    3.15), and dropping its repeats leaves a strict one, so the value at n
+    is the sum of s_k * C(n, k) (the chains of J(P), EC1 3.12).
 
     Ideals and steps come from the listed covers, the labels and the
     topological order alone, not from the transitive closure or the ideal
-    DP of ``eulerian_polynomial``, so the two engines stay independent.
+    DP of ``eulerian_polynomial``, so the two engines stay independent. One
+    pass over the ideals by size adds each one's chain polynomial, shifted
+    one slot up, into each of its strict targets.
 
     The work is counted where it is done, in units of one element scanned,
-    one target offered or one step walked once: each ideal is charged the
-    scan of the p elements when it is found, each element the targets it is
-    offered to, and each ideal's steps once per value before the walk
-    starts. Past DEFAULT_MAX_CHAIN_WORK units it raises
+    one target offered or one step taken: each ideal is charged the scan of
+    the p elements, each element the targets it is offered to, and each
+    strict step once. Past DEFAULT_MAX_CHAIN_WORK units it raises
     ``BudgetExceededError``.
     """
     p = poset.size
@@ -382,53 +381,47 @@ def _ideal_chain_counts(poset: LabeledPoset, terms: int) -> tuple[int, ...]:
     # so a long one is refused before any scan of its wide bitmasks
     if p * (p + 1) > DEFAULT_MAX_CHAIN_WORK:
         raise _chain_budget_error()
-    budget = DEFAULT_MAX_CHAIN_WORK - p
+    budget = DEFAULT_MAX_CHAIN_WORK
     lower, inverted = _cover_masks(poset)
     order = poset._topological_order
-    # an element joins an ideal once its listed lower covers are all in it
-    index = {0: 0}
-    ideals = [0]
-    for ideal in ideals:
-        for e in order:
-            if not ideal >> e & 1 and not lower[e] & ~ideal:
-                grown = ideal | 1 << e
-                if grown not in index:
-                    budget -= p
-                    if budget < 0:
-                        raise _chain_budget_error()
-                    index[grown] = len(ideals)
-                    ideals.append(grown)
-    # sources[j]: every ideal with a step to ideal j, itself included; the
-    # targets of an ideal grow element by element in topological order, so
-    # each element's lower covers are settled when it is offered
-    sources: list[list[int]] = [[] for _ in ideals]
-    for i, ideal in enumerate(ideals):
-        targets = [ideal]
-        for e in order:
-            if ideal >> e & 1:
-                continue
-            budget -= len(targets)
+    # each chain polynomial is one int with `width` bits per coefficient: a
+    # strict chain of k levels maps the ideal onto them, so no coefficient
+    # reaches k^p <= p^p and the sums never carry between slots
+    width = (p**p).bit_length()
+    # by_size[m]: the packed chain polynomial of each ideal of m elements
+    # reached so far; a size is complete once every smaller one is done
+    by_size: list[dict[int, int]] = [{} for _ in range(p + 1)]
+    by_size[0][0] = 1
+    for layer in by_size[:p]:
+        for ideal, chains in layer.items():
+            budget -= p
+            # the targets of an ideal grow element by element in topological
+            # order, so each element's lower covers are settled when offered
+            targets = [ideal]
+            for e in order:
+                if ideal >> e & 1:
+                    continue
+                budget -= len(targets)
+                if budget < 0:
+                    raise _chain_budget_error()
+                bit = 1 << e
+                targets += [
+                    target | bit
+                    for target in targets
+                    if not lower[e] & ~target and not inverted[e] & target & ~ideal
+                ]
+            budget -= len(targets) - 1
             if budget < 0:
                 raise _chain_budget_error()
-            bit = 1 << e
-            targets += [
-                target | bit
-                for target in targets
-                if not lower[e] & ~target and not inverted[e] & target & ~ideal
-            ]
-        # the walk passes each step once per value
-        budget -= len(targets) * (terms + 1)
-        if budget < 0:
-            raise _chain_budget_error()
-        for target in targets:
-            sources[index[target]].append(i)
-    top = index[(1 << p + 1) - 2]
-    counts = [1] + [0] * (len(ideals) - 1)
-    values = []
-    for _ in range(terms + 1):
-        counts = [sum([counts[i] for i in each]) for each in sources]
-        values.append(counts[top])
-    return tuple(values)
+            shifted = chains << width
+            for target in targets[1:]:
+                grown = by_size[target.bit_count()]
+                grown[target] = grown.get(target, 0) + shifted
+        # a finished size is never read again
+        layer.clear()
+    (packed,) = by_size[p].values()
+    mask = (1 << width) - 1
+    return tuple(packed >> (width * k) & mask for k in range(p + 1))
 
 
 def _chain_budget_error() -> BudgetExceededError:
@@ -444,30 +437,35 @@ def order_polynomial_value(poset: LabeledPoset, n: int) -> int:
 
     Computed at every size by expanding the Eulerian numerator against
     binomials, in O(p) once ``eulerian_polynomial`` is known.
-    ``verify_order_gf`` checks that expansion against the ideal-chain
-    transfer matrix, and the tests compare both with a search over the
-    maps.
+    ``verify_order_gf`` checks that numerator against the strict ideal
+    chains, and the tests compare both with a search over the maps.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _series_value(eulerian_polynomial(poset), poset.size, n)
 
 
-def verify_order_gf(poset: LabeledPoset, terms: int = 10) -> IdentityReport:
-    """Check that order polynomial values counted as ideal chains agree with
-    the series expansion of the Eulerian numerator over (1-t)^(p+1).
+def verify_order_gf(poset: LabeledPoset) -> IdentityReport:
+    """Check the order series identity x W(x) = sum_k s_k x^k (1-x)^(p-k)
+    coefficient by coefficient, with W the Eulerian polynomial and s_k the
+    strict ideal chains of ``_ideal_chain_counts``.
 
-    Compares the chain count at argument k+1 (``_ideal_chain_counts``) with
-    sum_j w_j * C(k-j+p, p) for 0 <= k <= terms, exactly. The chains read
-    only the listed covers, the labels and the topological order; the series
-    comes from the ideal DP over the transitive closure. The chains are
-    counted first, so a poset past their budget is refused before the DP
-    runs on it.
+    Both sides are the numerator of sum_n Omega(P, n) x^n over (1-x)^(p+1),
+    so every coefficient of W is compared; for p = 0 the left side is W
+    itself, since Omega(P, 0) = 1 there. The chains read only the listed
+    covers, the labels and the topological order; W comes from the ideal DP
+    over the transitive closure. The chains are counted first, so a poset
+    past their budget is refused before the DP runs on it.
     """
-    chains = _ideal_chain_counts(poset, terms)
-    w = eulerian_polynomial(poset)
-    series = tuple(_series_value(w, poset.size, k + 1) for k in range(terms + 1))
-    return compare_sequences(f"order series p={poset.size}", chains, series)
+    p = poset.size
+    strict = _ideal_chain_counts(poset)
+    w = eulerian_polynomial(poset).coefficients
+    left = (0, *w) if p else w
+    # after step k, right holds sum_(j <= k) s_j x^j (1-x)^(k-j)
+    right: list[int] = []
+    for count in strict:
+        right = [a - b for a, b in zip(right + [count], [0] + right)]
+    return compare_sequences(f"order series p={p}", left, right)
 
 
 def verify_ferrers_eulerian_identity(

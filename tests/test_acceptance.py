@@ -127,10 +127,10 @@ def test_criterion_05_order_polynomial_series_identity():
     failures = [
         report.detail()
         for poset in cases
-        if not (report := verify_order_gf(poset, terms=10))
+        if not (report := verify_order_gf(poset))
     ]
     assert _report(
-        5, not failures, f"order polynomial vs series, {len(cases)} posets, terms 0..10"
+        5, not failures, f"order polynomial vs series, {len(cases)} posets, every coefficient"
     ), failures[:3]
 
 

@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 from itertools import permutations
@@ -38,7 +39,7 @@ from narayana.posets import (
 
 
 def _assignment_count(poset: LabeledPoset, n: int) -> int:
-    # The reference that ``_ideal_chain_counts`` and the series are compared
+    # The reference that the strict chain counts and the series are compared
     # with: the maps of ``order_polynomial_value``, counted by backtracking.
     # Elements are processed in a topological order, so when an element is
     # placed all of its lower covers already hold values and give an upper
@@ -396,11 +397,11 @@ class TestOrderPolynomial:
     def test_series_above_the_ideal_chain_cap(self):
         with pytest.raises(ValueError, match="nonnegative"):
             order_polynomial_value(chain_poset(2), -1)
-        # thirteen elements are past the chain budget of verify_order_gf; the
+        # fourteen elements are past the chain budget of verify_order_gf; the
         # series answers at every size
         with pytest.raises(BudgetExceededError, match="chain budget"):
-            verify_order_gf(antichain_poset(13))
-        assert order_polynomial_value(antichain_poset(13), 2) == 2**13
+            verify_order_gf(antichain_poset(14))
+        assert order_polynomial_value(antichain_poset(14), 2) == 2**14
 
     def test_hook_content_oracle_matches_assignment_search(self):
         for total in range(1, 8):
@@ -427,20 +428,59 @@ class TestOrderPolynomial:
 
 class TestOrderSeriesIdentity:
     def test_chain_closed_form(self):
-        report = verify_order_gf(chain_poset(4), terms=10)
+        report = verify_order_gf(chain_poset(4))
         assert report, report.detail()
 
     def test_diamond(self):
-        assert verify_order_gf(column_strict_ferrers_poset(Partition((2, 2))), terms=8)
+        assert verify_order_gf(column_strict_ferrers_poset(Partition((2, 2))))
 
     def test_antichain_matches_cubes(self):
         poset = antichain_poset(3)
-        assert verify_order_gf(poset, terms=6)
+        assert verify_order_gf(poset)
         for n in range(1, 8):
             assert order_polynomial_value(poset, n) == n ** 3
 
     def test_empty_poset(self):
-        assert verify_order_gf(antichain_poset(0), terms=4)
+        assert verify_order_gf(antichain_poset(0))
+
+
+class TestOrderSeriesMutations:
+    """Faults that ``verify_order_gf`` must report."""
+
+    def test_every_coefficient_of_w_is_compared(self, monkeypatch):
+        # +1 in one coefficient of W, at every index below p, the top one too
+        shapes = [shape for total in range(1, 9) for shape in enumerate_partitions(total)]
+        eulerian = posets.eulerian_polynomial
+        for shape in [*shapes, Partition((5, 5, 4, 3, 3))]:
+            poset = column_strict_ferrers_poset(shape)
+            p = poset.size
+            w = [*eulerian(poset).coefficients, *[0] * p][:p]
+            for j in range(p):
+                faulty = IntPolynomial([c + (i == j) for i, c in enumerate(w)])
+                monkeypatch.setattr(posets, "eulerian_polynomial", lambda _, f=faulty: f)
+                assert not verify_order_gf(poset), (shape, j)
+
+    def test_a_dropped_inversion_rule_fails(self, monkeypatch):
+        cover_masks = posets._cover_masks
+
+        def ignore_inversions(poset):
+            lower, inverted = cover_masks(poset)
+            return lower, [0] * len(inverted)
+
+        monkeypatch.setattr(posets, "_cover_masks", ignore_inversions)
+        assert not verify_order_gf(column_strict_ferrers_poset(Partition((3, 2))))
+
+    def test_a_pass_that_also_takes_identity_steps_fails(self, monkeypatch):
+        # each ideal also steps to itself once before its chains move on
+        source = inspect.getsource(posets._ideal_chain_counts)
+        step = "shifted = chains << width"
+        assert source.count(step) == 1
+        namespace = dict(vars(posets))
+        exec(source.replace(step, "shifted = (chains + (chains << width)) << width"), namespace)
+        monkeypatch.setattr(posets, "_ideal_chain_counts", namespace["_ideal_chain_counts"])
+        diamond = column_strict_ferrers_poset(Partition((2, 2)))
+        for poset in (chain_poset(2), antichain_poset(3), diamond):
+            assert not verify_order_gf(poset), poset.canonical_key()
 
 
 def _scrambled_posets(count: int, seed: int = 14) -> list[LabeledPoset]:
@@ -471,17 +511,19 @@ def _implied(poset: LabeledPoset, a: int, b: int) -> bool:
 
 
 class TestIdealChainCounts:
-    """The transfer matrix against the assignment search and the series."""
+    """The strict chain counts against the assignment search and the series."""
 
     @staticmethod
     def _agree(poset: LabeledPoset) -> None:
-        chains = _ideal_chain_counts(poset, 10)
-        assert len(chains) == 11
-        for n in range(0, 12):
+        # each side is a polynomial in n of degree at most p, so agreement at
+        # n = 0..p makes the two equal
+        strict = _ideal_chain_counts(poset)
+        assert len(strict) == poset.size + 1
+        for n in range(0, poset.size + 1):
             brute = _assignment_count(poset, n)
             assert brute == order_polynomial_value(poset, n), (poset.canonical_key(), n)
-            expected = int(poset.size == 0) if n == 0 else chains[n - 1]
-            assert brute == expected, (poset.canonical_key(), n)
+            chains = sum(count * comb(n, k) for k, count in enumerate(strict))
+            assert brute == chains, (poset.canonical_key(), n)
 
     def test_every_ferrers_poset_up_to_8_cells(self):
         shapes = [shape for total in range(1, 9) for shape in enumerate_partitions(total)]
@@ -495,7 +537,8 @@ class TestIdealChainCounts:
             self._agree(chain_poset(size))
             self._agree(antichain_poset(size))
             self._agree(chain_poset(size, labels=range(size, 0, -1)))
-        assert _ideal_chain_counts(antichain_poset(8), 2) == (1, 2**8, 3**8)
+        # the strict chains of an antichain are its ordered set partitions
+        assert _ideal_chain_counts(antichain_poset(3)) == (0, 1, 6, 6)
 
     def test_scrambled_random_posets(self):
         posets = _scrambled_posets(320)
@@ -510,40 +553,47 @@ class TestIdealChainCounts:
         for poset in posets:
             self._agree(poset)
 
-    def test_zero_terms_and_the_empty_poset(self):
+    def test_small_posets_are_pinned(self):
+        # the diamond's inverted covers 1 < 3 and 2 < 4 leave it one chain
+        # of two levels ({1, 2} then {3, 4}) and three of three
         diamond = column_strict_ferrers_poset(Partition((2, 2)))
-        assert _ideal_chain_counts(diamond, 0) == (0,)
-        assert _ideal_chain_counts(chain_poset(3), 0) == (1,)
-        assert _ideal_chain_counts(antichain_poset(0), 0) == (1,)
-        assert _ideal_chain_counts(antichain_poset(0), 6) == (1,) * 7
-        assert verify_order_gf(diamond, terms=0)
-        assert verify_order_gf(antichain_poset(0), terms=0)
+        assert _ideal_chain_counts(antichain_poset(0)) == (1,)
+        assert _ideal_chain_counts(antichain_poset(1)) == (0, 1)
+        assert _ideal_chain_counts(chain_poset(3)) == (0, 1, 2, 1)
+        assert _ideal_chain_counts(diamond) == (0, 0, 1, 3, 2)
+        for poset in (antichain_poset(0), antichain_poset(1), chain_poset(3), diamond):
+            assert verify_order_gf(poset)
+
+
+def _antichain_work(size: int) -> int:
+    """Units charged for an antichain: the 2^size - 1 ideals below the top
+    each scan size elements, and the targets offered and the strict steps
+    each number 3^size - 1 - (2^size - 1)."""
+    return (2**size - 1) * size + 2 * (3**size - 2**size)
 
 
 class TestChainBudget:
     def test_the_work_is_counted_exactly(self, monkeypatch):
-        # an antichain of 3 at 10 terms: 8 ideals charged 3 scanned elements
-        # each, 3^3 - 2^3 targets offered, 3^3 steps walked 11 times
-        work = 8 * 3 + 3**3 - 2**3 + 3**3 * 11
+        work = _antichain_work(3)
+        assert work == 7 * 3 + 19 + 19
         monkeypatch.setattr(posets, "DEFAULT_MAX_CHAIN_WORK", work)
-        assert _ideal_chain_counts(antichain_poset(3), 10) == tuple(n**3 for n in range(1, 12))
+        assert _ideal_chain_counts(antichain_poset(3)) == (0, 1, 6, 6)
         monkeypatch.setattr(posets, "DEFAULT_MAX_CHAIN_WORK", work - 1)
         with pytest.raises(BudgetExceededError, match="chain budget"):
-            _ideal_chain_counts(antichain_poset(3), 10)
+            _ideal_chain_counts(antichain_poset(3))
 
-    def test_twelve_element_antichain_fits(self):
-        assert 2**12 * 12 + 3**12 - 2**12 + 3**12 * 11 == 6_422_348 <= DEFAULT_MAX_CHAIN_WORK
-        assert verify_order_gf(antichain_poset(12))
+    def test_thirteen_element_antichain_fits(self):
+        assert _antichain_work(13) == 3_278_745 <= DEFAULT_MAX_CHAIN_WORK < _antichain_work(14)
+        assert verify_order_gf(antichain_poset(13))
 
     @pytest.mark.parametrize(
-        "poset,terms",
-        [(antichain_poset(13), 10), (antichain_poset(20), 10), (antichain_poset(40), 10),
-         (chain_poset(1000), 10), (chain_poset(100_000), 10), (chain_poset(1), 10**8)],
-        ids=["antichain13", "antichain20", "antichain40", "chain1000", "chain100000",
-             "terms1e8"],
+        "poset",
+        [antichain_poset(14), antichain_poset(20), antichain_poset(40), chain_poset(1000),
+         chain_poset(100_000)],
+        ids=["antichain14", "antichain20", "antichain40", "chain1000", "chain100000"],
     )
-    def test_refusals_come_quickly(self, poset, terms):
+    def test_refusals_come_quickly(self, poset):
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError, match="chain budget"):
-            verify_order_gf(poset, terms)
+            verify_order_gf(poset)
         assert time.perf_counter() - start < 2
