@@ -362,7 +362,7 @@ def cmd_verify(args) -> int:
     with ProcessPoolExecutor(args.jobs) if pooled else contextlib.nullcontext() as executor:
         run = functools.partial(executor.map if pooled else map, _check)
         # only a --poset case can exceed a budget (the costliest sweep case,
-        # shape 9,5,3,2,1,1,1, takes 3% of the chain budget): it runs before
+        # shape 9,5,3,2,1,1,1, takes 5% of the chain budget): it runs before
         # the first line is printed, so a refusal leaves stdout empty, and
         # the output streams suite by suite
         kept = {}

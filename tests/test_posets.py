@@ -397,10 +397,10 @@ class TestOrderPolynomial:
     def test_series_above_the_ideal_chain_cap(self):
         with pytest.raises(ValueError, match="nonnegative"):
             order_polynomial_value(chain_poset(2), -1)
-        # fourteen elements are past the chain budget of verify_order_gf; the
+        # thirteen elements are past the chain budget of verify_order_gf; the
         # series answers at every size
         with pytest.raises(BudgetExceededError, match="chain budget"):
-            verify_order_gf(antichain_poset(14))
+            verify_order_gf(antichain_poset(13))
         assert order_polynomial_value(antichain_poset(14), 2) == 2**14
 
     def test_hook_content_oracle_matches_assignment_search(self):
@@ -515,11 +515,11 @@ class TestIdealChainCounts:
 
     @staticmethod
     def _agree(poset: LabeledPoset) -> None:
-        # each side is a polynomial in n of degree at most p, so agreement at
-        # n = 0..p makes the two equal
+        # past n = p as well: a spurious top coefficient of the Eulerian DP
+        # adds a multiple of C(n - 1, p), which is 0 for every n <= p
         strict = _ideal_chain_counts(poset)
         assert len(strict) == poset.size + 1
-        for n in range(0, poset.size + 1):
+        for n in range(max(12, poset.size + 2)):
             brute = _assignment_count(poset, n)
             assert brute == order_polynomial_value(poset, n), (poset.canonical_key(), n)
             chains = sum(count * comb(n, k) for k, count in enumerate(strict))
@@ -572,25 +572,47 @@ def _antichain_work(size: int) -> int:
     return (2**size - 1) * size + 2 * (3**size - 2**size)
 
 
+def _reversed_chain_work(size: int) -> int:
+    """Units charged for a chain with reversed labels: the ideal of m
+    elements scans size elements and offers one target to element m + 1 and
+    two to each later one, and its one step moves the single chain x^m one
+    slot up, an int of (m + 1) * width + 1 bits, at one unit more per 2^11
+    of them."""
+    width = (size**size).bit_length()
+    return sum(
+        size + 1 + 2 * (size - m - 1) + 1 + ((m + 1) * width + 1 >> 11) for m in range(size)
+    )
+
+
 class TestChainBudget:
-    def test_the_work_is_counted_exactly(self, monkeypatch):
-        work = _antichain_work(3)
-        assert work == 7 * 3 + 19 + 19
+    # a 200-element chain has 1529-bit slots, so from its second ideal on
+    # each step moves more than 2^11 bits and costs more than one unit
+    @pytest.mark.parametrize(
+        "poset, work, strict",
+        [(antichain_poset(3), _antichain_work(3), (0, 1, 6, 6)),
+         (chain_poset(200, labels=range(200, 0, -1)), _reversed_chain_work(200),
+          (0,) * 200 + (1,))],
+        ids=["antichain3", "reversed200"],
+    )
+    def test_the_work_is_counted_exactly(self, monkeypatch, poset, work, strict):
         monkeypatch.setattr(posets, "DEFAULT_MAX_CHAIN_WORK", work)
-        assert _ideal_chain_counts(antichain_poset(3)) == (0, 1, 6, 6)
+        assert _ideal_chain_counts(poset) == strict
         monkeypatch.setattr(posets, "DEFAULT_MAX_CHAIN_WORK", work - 1)
         with pytest.raises(BudgetExceededError, match="chain budget"):
-            _ideal_chain_counts(antichain_poset(3))
+            _ideal_chain_counts(poset)
 
-    def test_thirteen_element_antichain_fits(self):
-        assert _antichain_work(13) == 3_278_745 <= DEFAULT_MAX_CHAIN_WORK < _antichain_work(14)
-        assert verify_order_gf(antichain_poset(13))
+    def test_twelve_element_antichain_fits(self):
+        assert _antichain_work(3) == 7 * 3 + 19 + 19
+        assert _antichain_work(12) == 1_103_830 <= DEFAULT_MAX_CHAIN_WORK < _antichain_work(13)
+        assert verify_order_gf(antichain_poset(12))
 
     @pytest.mark.parametrize(
         "poset",
-        [antichain_poset(14), antichain_poset(20), antichain_poset(40), chain_poset(1000),
-         chain_poset(100_000)],
-        ids=["antichain14", "antichain20", "antichain40", "chain1000", "chain100000"],
+        [antichain_poset(13), antichain_poset(19), antichain_poset(20), antichain_poset(40),
+         chain_poset(1000), chain_poset(100_000), chain_poset(1000, labels=range(1000, 0, -1)),
+         chain_poset(1800, labels=range(1800, 0, -1))],
+        ids=["antichain13", "antichain19", "antichain20", "antichain40", "chain1000",
+             "chain100000", "reversed1000", "reversed1800"],
     )
     def test_refusals_come_quickly(self, poset):
         start = time.perf_counter()
