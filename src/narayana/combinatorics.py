@@ -3,10 +3,13 @@
 All objects are immutable values, safe to share across threads. The
 enumerators walk a quota-and-dominance prefix tree that extends a word one
 symbol at a time, so only valid objects are ever materialized and output
-order is lexicographic. The walk is iterative up to the last six symbols;
-those come from tables of completions, one per symbol count vector reached,
-built once per call (at most 6! = 720 completions of six symbols each per
-table).
+order is lexicographic. The walk is iterative and stops at a prefix length
+chosen from exact counts: f^c prefixes reach the symbol count vector c (the
+hook length formula), and the completions of c are counted back from the
+full quotas. The rest of each word comes from a table of completions, one
+per count vector reached, built once per call and only when it holds at
+most one completion more than the lines already yielded, so no line waits
+for a table larger than the output before it.
 
 Words, paths and tableaux are checked by the one ballot scan that mirrors
 that generator. The public constructors run it in full on every object: a
@@ -27,13 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from math import factorial, perm, prod
 from operator import concat, gt, lt
 from typing import Callable, Iterator, Sequence
 
 DEFAULT_MAX_CELLS = 22
-# symbols at the end of a ballot sequence taken from memoized completion tables
-_SUFFIX_SYMBOLS = 6
 # maps the bytes 0..9 to their ASCII digits, for the one-digit string form
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 # the annotation of words, paths, row words, rows, parts and count vectors
@@ -99,11 +101,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram (columns become rows)."""
-        if not self.parts:
-            return Partition(())
-        return Partition(
-            tuple(sum(1 for part in self.parts if part > j) for j in range(self.parts[0]))
-        )
+        return Partition(tuple(_conjugate(self.parts)))
 
     def is_rectangular(self) -> bool:
         return all(part == self.parts[0] for part in self.parts)
@@ -431,25 +429,111 @@ def _rows_from_word(row_word: Sequence[int], row_count: int) -> tuple[IntTuple, 
     return tuple(row for row in _row_positions(row_word, row_count) if row)
 
 
+def _steps(counts: IntTuple, caps: IntTuple) -> Iterator[tuple[int, IntTuple]]:
+    """(symbol, grown counts) for each symbol that may follow a ballot prefix
+    with these symbol counts, in increasing order: one under its quota and
+    under the count of the symbol before it. counts[0] and caps[0] are
+    placeholders."""
+    for symbol in range(1, len(caps)):
+        count = counts[symbol]
+        if count < caps[symbol] and (symbol == 1 or counts[symbol - 1] > count):
+            yield symbol, counts[:symbol] + (count + 1,) + counts[symbol + 1:]
+
+
 def _completions(
     counts: IntTuple,
     caps: IntTuple,
     tables: dict[IntTuple, list[IntTuple]],
 ) -> list[IntTuple]:
     """The words that complete a prefix with these symbol counts to the
-    quotas caps[1:], in lexicographic order, memoized in tables; counts[0]
-    and caps[0] are placeholders. Not a closure, which would hold the tables
-    in a reference cycle until the next garbage collection."""
-    table = tables.get(counts)
-    if table is None:
-        table = [] if sum(counts) < sum(caps) else [()]
-        for symbol in range(1, len(caps)):
+    quotas caps[1:], in lexicographic order, memoized in tables, which have
+    none for these counts yet; counts[0] and caps[0] are placeholders. Not a
+    closure, which would hold the tables in a reference cycle until the next
+    garbage collection.
+
+    Built bottom-up, without recursion: the count vectors from counts to caps
+    that have no table yet are gathered one depth at a time, and their
+    tables are built deepest first, each from the tables one symbol on."""
+    levels = [[counts]]
+    while levels[-1]:
+        levels.append(list(dict.fromkeys(
+            grown for vector in levels[-1] for _, grown in _steps(vector, caps)
+            if grown not in tables
+        )))
+    for level in reversed(levels):
+        for vector in level:
+            tables[vector] = [
+                (symbol,) + rest
+                for symbol, grown in _steps(vector, caps)
+                for rest in tables[grown]
+            ] if vector != caps else [()]
+    return tables[counts]
+
+
+def _count_back(level: dict[IntTuple, int]) -> dict[IntTuple, int]:
+    """The completion counts one depth back: every count vector with one
+    symbol fewer than a vector of level, mapped to the sum of the counts of
+    the vectors of level it grows into. counts[0] is a placeholder."""
+    back: dict[IntTuple, int] = {}
+    for counts, number in level.items():
+        last = len(counts) - 1
+        for symbol in range(1, last + 1):
             count = counts[symbol]
-            if count < caps[symbol] and (symbol == 1 or counts[symbol - 1] > count):
-                grown = counts[:symbol] + (count + 1,) + counts[symbol + 1:]
-                table.extend([(symbol,) + rest for rest in _completions(grown, caps, tables)])
-        tables[counts] = table
-    return table
+            if count and (symbol == last or counts[symbol + 1] < count):
+                shrunk = counts[:symbol] + (count - 1,) + counts[symbol + 1:]
+                back[shrunk] = back.get(shrunk, 0) + number
+    return back
+
+
+def _prefix_count(counts: IntTuple) -> int:
+    """The ballot prefixes that reach these symbol counts: f^counts, by the
+    hook length formula (Frame-Robinson-Thrall) in Frobenius' form,
+    d! * prod(l_i - l_j, i < j) / prod(l_i!) over the first-column hook
+    lengths l_i of the r nonzero rows, on the counts or on their conjugate,
+    whichever has fewer rows. So the work is O(r^2) for the smaller r and
+    none of it is per cell; d!/l_1! is a falling product, as l_1 <= d.
+    counts[0] is a placeholder."""
+    parts = counts[1:]
+    rows = len(parts) - parts.count(0)
+    if rows > parts[0]:
+        parts = _conjugate(parts)
+        rows = len(parts)
+    cells = sum(parts)
+    lengths = [part + rows - i for i, part in enumerate(parts[:rows], start=1)] or [0]
+    return (
+        perm(cells, cells - lengths[0])
+        * prod(a - b for a, b in combinations(lengths, 2))
+        // prod(map(factorial, lengths[1:]))
+    )
+
+
+def _split(caps: IntTuple) -> tuple[int, dict[IntTuple, int]]:
+    """The prefix length at which ``_ballot_blocks`` splits the ballot
+    sequences of the quotas caps[1:] (caps[0] a placeholder), and the
+    completions of every count vector that a prefix of that length or longer
+    reaches. The length L minimises the prefixes of length L plus the
+    completions of the count vectors that they reach; the longest such L
+    wins a tie.
+
+    Both are exact counts: f^c prefixes reach count vector c, and the
+    completions are counted back from the full quotas one depth at a time.
+    The completions never shrink as L falls and at least one prefix is
+    always walked, so the count stops at the first depth whose completions
+    plus one reach the least cost seen: no shorter prefix can cost less."""
+    level = {caps: 1}
+    counted = dict(level)
+    split = sum(caps)
+    least = _prefix_count(caps) + 1
+    for depth in range(split - 1, -1, -1):
+        level = _count_back(level)
+        completions = sum(level.values())
+        if completions + 1 >= least:
+            break
+        counted.update(level)
+        cost = completions + sum(map(_prefix_count, level))
+        if cost < least:
+            least, split = cost, depth
+    return split, counted
 
 
 def _ballot_blocks(
@@ -459,28 +543,35 @@ def _ballot_blocks(
     unchecked: the words prefix + rest, for the blocks in turn and the rests
     of each in turn, are all the words in which symbol r appears quotas[r-1]
     times and no prefix holds more r's than (r-1)'s, in lexicographic order.
+    The quotas are weakly decreasing.
 
-    Iterative backtracking over one reused buffer walks the prefixes of all
-    but the last _SUFFIX_SYMBOLS symbols, so the walk needs no recursion at
-    any length. Each prefix it reaches comes with the completion table of its
-    symbol counts, the same list for every prefix with those counts. The
-    tables are built recursively (depth at most _SUFFIX_SYMBOLS) and memoized
-    for the call: one table per count vector met, each of at most 6! = 720
-    completions of six symbols (165 tables and 55,752 symbols in all for the
-    21-cell staircase).
+    Iterative backtracking over one reused buffer walks the prefixes, so the
+    walk needs no recursion at any length. A prefix of the length that
+    ``_split`` chooses, or longer, ends its block when the completion table
+    of its symbol counts exists, or holds no more completions than the lines
+    already yielded plus one; else the walk goes on. So the first line waits
+    for no large table, and a table is built once the output has paid for
+    it. Each table is the same list for every prefix with those counts,
+    built when a prefix first takes it and memoized for the call. On the
+    10-by-2 rectangle the split is 10 symbols: 7 blocks of 11 to 14 symbols
+    make its first 44 words, then 250 prefixes of 10 symbols with 6 tables
+    of 252 completions in all make the other 16,752. On a single row or
+    column the walk takes the whole word, whose table holds the one empty
+    completion.
     """
     k = len(quotas)
-    total = sum(quotas)
     caps = (0,) + tuple(quotas)
+    total = sum(caps)
     tables: dict[IntTuple, list[IntTuple]] = {}
-    split = total - _SUFFIX_SYMBOLS
-    if split <= 0:
-        yield (), _completions((0,) * (k + 1), caps, tables)
+    if not total:
+        yield (), _completions(caps, caps, tables)
         return
+    split, counted = _split(caps)
     counts = [0] * (k + 1)
-    word = [0] * split
+    word = [0] * total
     position = 0
     symbol = 1
+    lines = 0
     while True:
         while symbol <= k and not (
             counts[symbol] < caps[symbol]
@@ -498,14 +589,20 @@ def _ballot_blocks(
         word[position] = symbol
         counts[symbol] += 1
         position += 1
-        if position == split:
-            yield tuple(word), _completions(tuple(counts), caps, tables)
-            position -= 1
-            symbol = word[position]
-            counts[symbol] -= 1
-            symbol += 1
-        else:
-            symbol = 1
+        if position >= split:
+            key = tuple(counts)
+            table = tables.get(key)
+            if table is None and counted[key] <= lines + 1:
+                table = _completions(key, caps, tables)
+            if table is not None:
+                lines += len(table)
+                yield tuple(word[:position]), table
+                position -= 1
+                symbol = word[position]
+                counts[symbol] -= 1
+                symbol += 1
+                continue
+        symbol = 1
 
 
 def _checked_blocks(
@@ -627,15 +724,26 @@ def enumerate_lines(
         return
     mirrored = kind == "paths"
 
-    def symbols_string(symbols: IntTuple, _: object = None) -> str:
-        return _symbols_string(_relabel(symbols, k) if mirrored else symbols, k)
+    def symbols_string(symbols: IntTuple, reached: IntTuple = ()) -> str:
+        text = _symbols_string(_relabel(symbols, k) if mirrored else symbols, k)
+        # in the comma form, a completion joins a prefix with a comma when
+        # both are nonempty; a prefix may be a whole word, or empty
+        return "," + text if k > 9 and symbols and any(reached) else text
 
-    # every block but the one of an empty prefix has completions of
-    # _SUFFIX_SYMBOLS symbols, so a comma always follows a nonempty prefix
-    separator = "," if k > 9 else ""
     for prefix, tails in _checked_blocks(quotas, symbols_string):
-        head = symbols_string(prefix) + separator if prefix else ""
-        yield from map(head.__add__, tails)
+        yield from map(symbols_string(prefix).__add__, tails)
+
+
+def _conjugate(parts: Sequence[int]) -> list[int]:
+    """Column lengths of the diagram with these weakly decreasing row lengths:
+    entry j counts the rows longer than j. Rows of length zero hold no cells."""
+    conjugate = []
+    rows = len(parts)
+    for j in range(parts[0] if parts else 0):
+        while parts[rows - 1] <= j:
+            rows -= 1
+        conjugate.append(rows)
+    return conjugate
 
 
 def _hooks(shape: Partition) -> list[int]:

@@ -19,10 +19,14 @@ from narayana.combinatorics import (
     enumerate_syt,
     is_lattice_word,
     syt_count_hook,
+    _ballot_blocks,
     _checked_blocks,
+    _count_back,
+    _prefix_count,
     _relabel,
     _rows_from_word,
     _scan_ballot,
+    _split,
 )
 
 SAMPLE_WORD = "121113223233"
@@ -304,7 +308,8 @@ def _arrangements(quotas):
     yield from place(1, list(range(total)))
 
 
-# totals 0 to 9 sit on both sides of the six-symbol suffix split
+# small quotas: some split up to four symbols before the end, the rest walk
+# the whole word
 GENERATOR_QUOTAS = sorted(
     {shape.parts for total in range(9) for shape in enumerate_partitions(total)}
     | {(n,) * m for n in range(1, 10) for m in range(1, 10) if n * m <= 9}
@@ -322,6 +327,125 @@ def test_long_prefix_walks_need_no_recursion():
     # the prefix walk is iterative, so thousands of symbols stay in reach
     assert len(list(enumerate_lattice_words(2000, 1, max_cells=2000))) == 1
     assert len(list(enumerate_syt(Partition((1,) * 1500), max_cells=1500))) == 1
+
+
+def _two_row_words(a, b):
+    """Every word of a 1's and b 2's: the 2's take each set of positions."""
+    for twos in combinations(range(a + b), b):
+        word = [1] * (a + b)
+        for spot in twos:
+            word[spot] = 2
+        yield tuple(word)
+
+
+def _two_column_words(a, b):
+    """The row words of the fillings of two columns of lengths a and b that
+    increase down each column: the second column takes each set of b of the
+    entries 1..a+b, and an entry's row is its rank in its column."""
+    for second in combinations(range(a + b), b):
+        ranks = [0, 0]
+        word = []
+        for entry in range(a + b):
+            column = entry in second
+            ranks[column] += 1
+            word.append(ranks[column])
+        yield tuple(word)
+
+
+# every shape of two rows or two columns of up to 16 cells, and the 20-cell
+# ones whose second row or column is short (all 20-cell ones take ~15 s)
+TWO_ROWS = [(n - b, b) for n in range(17) for b in range(n // 2 + 1)] + [
+    (20 - b, b) for b in range(4)
+]
+
+
+@pytest.mark.parametrize("a, b", TWO_ROWS, ids=str)
+def test_two_rows_and_two_columns_match_an_independent_generator(a, b):
+    rows = (a, b)[: 2 if b else 1]
+    expected = sorted(w for w in _two_row_words(a, b) if _scan_ballot(w, rows) is None)
+    assert _ballot_words(rows) == expected
+    columns = (2,) * b + (1,) * (a - b)
+    expected = sorted({w for w in _two_column_words(a, b) if _scan_ballot(w, columns) is None})
+    assert _ballot_words(columns) == expected
+
+
+def test_completions_counted_back_to_the_empty_prefix_are_the_hook_count():
+    # the split chooser's count, run past its window down to the empty
+    # prefix, counts every word once: every shape of at most 12 cells and
+    # every rectangle of at most 22
+    shapes = [shape.parts for total in range(13) for shape in enumerate_partitions(total)]
+    shapes += [(n,) * m for n in range(1, 23) for m in range(1, 22 // n + 1) if n * m > 12]
+    for parts in shapes:
+        caps = (0,) + parts
+        level = {caps: 1}
+        for _ in range(sum(parts)):
+            level = _count_back(level)
+        assert level == {(0,) * len(caps): syt_count_hook(Partition(parts))}, parts
+
+
+def test_prefix_counts_are_the_hook_counts_of_the_count_vectors():
+    for total in range(15):
+        for shape in enumerate_partitions(total):
+            for padding in range(3):
+                counts = (0,) + shape.parts + (0,) * padding
+                if len(counts) > 1:
+                    assert _prefix_count(counts) == syt_count_hook(shape), counts
+    assert _prefix_count((0, 2000)) == _prefix_count((0,) + (1,) * 1500) == 1
+
+
+def _split_costs(quotas):
+    """For each prefix length L, the prefixes of length L plus the
+    completions of the count vectors they reach; and the completions of
+    every count vector. Both read off the list of the words, with no hook
+    length and no count."""
+    total = sum(quotas)
+    prefixes = [set() for _ in range(total + 1)]
+    rests = {}  # count vector (with the placeholder 0) -> its completions
+    for word in _ballot_words(quotas):
+        counts = [0] * (len(quotas) + 1)
+        for length in range(total + 1):
+            prefixes[length].add(word[:length])
+            rests.setdefault(tuple(counts), set()).add(word[length:])
+            if length < total:
+                counts[word[length]] += 1
+    costs = [len(heads) for heads in prefixes]
+    for counts, completions in rests.items():
+        costs[sum(counts)] += len(completions)
+    return costs, {counts: len(completions) for counts, completions in rests.items()}
+
+
+@pytest.mark.parametrize(
+    "quotas",
+    sorted({shape.parts for total in range(1, 11) for shape in enumerate_partitions(total)})
+    + [(4, 4, 4, 4), (10, 10), (2,) * 10, (5, 4, 2, 1), (6, 3, 3, 1)],
+    ids=str,
+)
+def test_the_split_is_the_cheapest_prefix_length(quotas):
+    # the longest L of least prefixes plus completions, found by trying all
+    costs, completions = _split_costs(quotas)
+    split, counted = _split((0,) + quotas)
+    assert split == max(length for length, cost in enumerate(costs) if cost == min(costs))
+    assert all(counts in counted for counts in completions if sum(counts) >= split)
+    assert counted == {counts: completions[counts] for counts in counted}
+
+
+@pytest.mark.parametrize(
+    "quotas, blocks",
+    [((10, 10), None), ((4, 4, 4, 4), None), ((15, 3, 2, 1, 1), 2000),
+     ((6, 5, 4, 3, 2, 1, 1), 2000), ((7, 7, 4, 2, 1, 1), 2000)],
+    ids=str,
+)
+def test_no_block_waits_for_a_table_larger_than_the_lines_before_it(quotas, blocks):
+    # the first block of every shape is one word, and a table is taken only
+    # when it holds at most one completion more than the lines already out
+    lines = 0
+    for count, (prefix, table) in enumerate(_ballot_blocks(quotas)):
+        assert len(table) <= lines + 1, (count, prefix)
+        if count == 0:
+            assert len(prefix) + len(table[0]) == sum(quotas) and len(table) == 1
+        lines += len(table)
+        if count == blocks:
+            break
 
 
 class TestSytEnumeration:
@@ -565,8 +689,8 @@ def _joined(symbols, m):
 
 
 def test_word_and_path_strings_are_the_joined_symbols():
-    # every rectangle of at most 14 cells: m = 10..14 take the comma form, and
-    # at most six cells, or none, make one block with an empty prefix
+    # every rectangle of at most 14 cells: m = 10..14 take the comma form,
+    # where a one-word column is a whole-word prefix with an empty completion
     for n in range(15):
         for m in range(15 if n == 0 else 14 // n + 1):
             words = list(enumerate_lattice_words(n, m))
