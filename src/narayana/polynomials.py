@@ -4,15 +4,17 @@ Coefficients are arbitrary-precision Python integers stored densely, low
 degree first. Real-root counting runs on Sturm sequences built from integer
 pseudo-remainders that are only ever rescaled by positive factors, so sign
 patterns are exact; evaluations at rational points use ``Fraction``. A
-palindromic polynomial of degree d is certified through a polynomial of
-degree floor(d/2) in t + 1/t. Failing that, a polynomial of degree 16 or
-more is split into Yun's square-free factors, with gcds from images modulo
-Mersenne primes accepted only by exact division, and each factor's real
-roots are counted by Descartes' rule of signs with bisection on integer
-Bernstein coefficients; below degree 16 the Sturm chain of p decides. The
-certificate is always the one the chain gives. No floating point enters any
-certification path. ``compare_sequences`` reports the first mismatch of two
-coefficient vectors (``IdentityReport``).
+palindromic polynomial of degree d is certified through a polynomial q of
+degree h = floor(d/2) in t + 1/t: from h = 16 on, by counting the roots of
+q below -2 with Descartes' rule of signs and bisection on integer Bernstein
+coefficients, and otherwise by the Sturm chain of q. Failing that, a
+polynomial of degree 16 or more is split into Yun's square-free factors,
+with gcds from images modulo Mersenne primes accepted only by exact
+division, and each factor's real roots are counted by the same Descartes
+counter; below degree 16 the Sturm chain of p decides. The certificate is
+always the one the chain gives. No floating point enters any certification
+path. ``compare_sequences`` reports the first mismatch of two coefficient
+vectors (``IdentityReport``).
 """
 
 from __future__ import annotations
@@ -176,7 +178,8 @@ _GCD_MODULI = tuple(2**k - 1 for k in (127, 521, 1279, 2203, 4423))
 # p: on Eulerian and palindromic products times a squared linear factor, the
 # split and the chain of p cost the same at degree 16, and the split is
 # cheaper from there on; below it, the chain also beats the Descartes counter
-# (see README).
+# (see README). It is also the least degree of q at which the palindromic
+# route counts q's roots below -2 instead of building the chain of q.
 SQUARE_FREE_SPLIT_DEGREE = 16
 
 
@@ -413,6 +416,14 @@ def _bernstein_halves(b: list[int]) -> tuple[list[int], list[int]]:
     return left, right
 
 
+def _shifted_by_one(coefficients: list[int]) -> list[int]:
+    """Coefficients of p, highest degree first, turned in place into those
+    of p(y + 1): one Taylor shift by d rounds of prefix sums."""
+    for n in range(len(coefficients), 1, -1):
+        coefficients[:n] = accumulate(coefficients[:n])
+    return coefficients
+
+
 def _positive_root_count(coefficients: Sequence[int], k: int) -> int:
     """Distinct roots in (0, 2**k) of a square-free p with p(0) != 0, by
     Descartes' rule of signs with bisection (Collins and Akritas 1976) in the
@@ -433,9 +444,7 @@ def _positive_root_count(coefficients: Sequence[int], k: int) -> int:
     if variations < 2:
         return variations
     d = len(coefficients) - 1
-    bernstein = [c << (k * i) for i, c in enumerate(coefficients)]
-    for n in range(d + 1, 1, -1):
-        bernstein[:n] = accumulate(bernstein[:n])
+    bernstein = _shifted_by_one([c << (k * i) for i, c in enumerate(coefficients)])
     binomials = [comb(d, j) for j in range(d + 1)]
     scale = lcm(*binomials)
     bernstein = [c * (scale // b) for c, b in zip(bernstein, binomials)]
@@ -568,6 +577,13 @@ def _half_degree(coefficients: Sequence[int]) -> list[int]:
     return q
 
 
+def _below_minus_two(q: Sequence[int]) -> list[int]:
+    """r(x) = q(-2 - x), whose positive roots are the roots of q below -2:
+    q(-2 y) shifted to y + 1, then x = 2 y - 2 divides r_i out of 2**i r_i."""
+    shifted = _shifted_by_one([c * (-2) ** i for i, c in enumerate(q)][::-1])
+    return [c >> i for i, c in enumerate(reversed(shifted))]
+
+
 def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate | None:
     """The certificate of a real-rooted palindromic p of degree d >= 2,
     found at half the degree, or None when this route cannot certify it or
@@ -579,15 +595,30 @@ def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate
     when s = -2 or 2. So p is real-rooted when q has h distinct real roots
     (which makes it square-free), none in (-2, 2), and then p has
     2h - [q(-2) = 0] - [q(2) = 0] + [d odd and q(-2) != 0] distinct roots.
-    The chain of q counts its roots in (-2, 2] as V(-2) - V(2). None (q has
-    a repeated or non-real root, or one in (-2, 2)) leaves the decision to
-    the other routes.
+
+    From h = ``SQUARE_FREE_SPLIT_DEGREE`` on, the Descartes counter is tried
+    first, on r(x) = q(-2 - x). When q(-2) != 0, ``_checked_gcd`` proves q
+    square-free and r has h roots in (0, 2**k) (which needs h sign
+    variations), q has h simple roots below -2 and p has 2h + [d odd]
+    simple negative ones. Otherwise, and below that degree, the chain of q
+    counts its roots in (-2, 2] as V(-2) - V(2). None (q has a repeated or
+    non-real root, or one in (-2, 2)) leaves the decision to the other
+    routes.
     """
     if len(coefficients) < 3 or coefficients != coefficients[::-1]:
         return None
     odd = len(coefficients) % 2 == 0
     q = _half_degree(_exact_div(coefficients, (1, 1)) if odd else coefficients)
     h = len(q) - 1
+    if h >= SQUARE_FREE_SPLIT_DEGREE:
+        r = _below_minus_two(q)
+        if (
+            r[0]
+            and _variations(r) == h
+            and len(_checked_gcd(q, _derivative(q))[0]) == 1
+            and _positive_root_count(r, _root_bound_exponent(r)) == h
+        ):
+            return RealRootCertificate(True, 2 * h + odd, 2 * h + odd)
     chain = _remainder_chain(q, _derivative(q))
     # h distinct real roots make q square-free, so that needs no check of its own
     if _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True) != h:
@@ -607,8 +638,11 @@ def is_real_rooted(p: IntPolynomial) -> RealRootCertificate:
     degree of the square-free part; constants are trivially real-rooted.
     A palindromic ``p`` of degree d >= 2 is tried first at half the degree:
     after dividing out 1 + t when d is odd, p = t**h q(t + 1/t) with
-    h = floor(d/2), and one chain of q and q' accepts ``p`` when q has h
-    simple real roots, none in (-2, 2).
+    h = floor(d/2), and ``p`` is accepted when q has h simple real roots,
+    none in (-2, 2). From h = ``SQUARE_FREE_SPLIT_DEGREE`` on, q proved
+    square-free by a gcd image of degree 0 and h roots of q below -2,
+    counted by Descartes' rule on q(-2 - x), accept ``p``; otherwise one
+    chain of q and q' decides.
 
     Otherwise, below degree ``SQUARE_FREE_SPLIT_DEGREE``, one remainder chain
     of p and p' decides: its last element is gcd(p, p'), and its sign

@@ -11,6 +11,8 @@ import narayana.polynomials as polynomials_module
 from narayana.polynomials import (
     SQUARE_FREE_SPLIT_DEGREE,
     IntPolynomial,
+    RealRootCertificate,
+    _derivative,
     _descartes_root_count,
     _palindromic_certificate,
     _plain_certificate,
@@ -541,6 +543,64 @@ def _palindromic_product(factors):
     for a in factors:
         poly = poly * P(a, a * a + 1, a)
     return poly
+
+
+# palindromic inputs whose q has degree h >= 16, which the half-degree route
+# tries on the Descartes counter first: r(x) = q(-2 - x) must have h positive
+# roots, and q must be proved square-free
+_BASE30 = _palindromic_product(range(2, 17))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: narayana_polynomial(10, 10), lambda: narayana_polynomial(12, 12), lambda: _eulerian(47)],
+    ids=["N(10,10)", "N(12,12)", "A_47"],
+)
+def test_the_half_degree_counter_accepts_without_any_chain(make, monkeypatch):
+    poly = make()
+    assert poly.degree // 2 >= SQUARE_FREE_SPLIT_DEGREE
+
+    def no_chain(a, b):
+        raise AssertionError("a remainder chain was built")
+
+    monkeypatch.setattr(polynomials_module, "_remainder_chain", no_chain)
+    assert is_real_rooted(poly) == RealRootCertificate(True, poly.degree, poly.degree)
+
+
+# q(-2) = 0; q has a root 5/2 > 2 and p the positive roots 2 and 1/2; q is not
+# square-free, though r has h sign variations; q has the root -1 in (-2, 2);
+# q has the roots -3 +- i, and r h sign variations but h - 2 positive roots;
+# and one that the counter accepts
+_HALF_DEGREE_CASES = {
+    "(1+t)^2": _BASE30 * P(1, 1) * P(1, 1),
+    "(t-2)(2t-1)": _BASE30 * P(2, -5, 2),
+    "squared": _BASE30 * P(20, 401, 20) * P(20, 401, 20),
+    "t^2+t+1": _BASE30 * P(1, 1, 1),
+    "-3+-i": _BASE30 * P(1, 6, 12, 6, 1),
+    "A_35": _eulerian(35),
+}
+
+
+@pytest.mark.parametrize("poly", _HALF_DEGREE_CASES.values(), ids=_HALF_DEGREE_CASES.keys())
+def test_the_half_degree_route_equals_the_plain_chain(poly, monkeypatch):
+    assert poly.degree // 2 >= SQUARE_FREE_SPLIT_DEGREE
+    counter = polynomials_module._positive_root_count
+
+    def square_free_only(coefficients, k):
+        chain = _remainder_chain(coefficients, _derivative(coefficients))
+        assert len(chain[-1]) == 1, "the counter got an input with a repeated root"
+        return counter(coefficients, k)
+
+    monkeypatch.setattr(polynomials_module, "_positive_root_count", square_free_only)
+    assert is_real_rooted(poly) == _plain_certificate(poly.coefficients)
+
+
+@pytest.mark.parametrize("n, m", [(n, n) for n in range(7, 12)] + [(4, 12), (4, 15), (4, 20), (3, 20), (5, 9)])
+def test_descartes_counts_every_root_of_narayana_polynomials(n, m):
+    # on p itself: no Dickson step, no shift and no half degree
+    poly = narayana_polynomial(n, m)
+    assert poly.degree >= 32
+    assert _descartes_root_count(poly.coefficients) == poly.degree
 
 
 def _takes_the_split(poly, monkeypatch):
