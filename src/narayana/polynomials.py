@@ -7,7 +7,7 @@ patterns are exact; evaluations at rational points use ``Fraction``. A
 palindromic polynomial of degree d is certified through a polynomial q of
 degree h = floor(d/2) in t + 1/t: from h = 16 on, by counting the roots of
 q below -2 with Descartes' rule of signs and bisection on integer Bernstein
-coefficients, and otherwise by the Sturm chain of q. Failing that, a
+coefficients, and below that by the Sturm chain of q. Failing that, a
 polynomial of degree 16 or more is split into Yun's square-free factors,
 with gcds from images modulo Mersenne primes accepted only by exact
 division, and each factor's real roots are counted by the same Descartes
@@ -178,8 +178,12 @@ _GCD_MODULI = tuple(2**k - 1 for k in (127, 521, 1279, 2203, 4423))
 # p: on Eulerian and palindromic products times a squared linear factor, the
 # split and the chain of p cost the same at degree 16, and the split is
 # cheaper from there on; below it, the chain also beats the Descartes counter
-# (see README). It is also the least degree of q at which the palindromic
-# route counts q's roots below -2 instead of building the chain of q.
+# (see README). It is also the least degree h of q at which the palindromic
+# route counts q's roots below -2 instead of building the chain of q. The two
+# crossovers were not measured at the same point: at h = 16 the chain of q
+# is still the cheaper on plain Eulerian inputs (the counter wins between
+# h = 16 and h = 19) and on the small-coefficient narayana2 family at every
+# h tried; the certify round as a whole is cheaper with the counter.
 SQUARE_FREE_SPLIT_DEGREE = 16
 
 
@@ -596,14 +600,16 @@ def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate
     (which makes it square-free), none in (-2, 2), and then p has
     2h - [q(-2) = 0] - [q(2) = 0] + [d odd and q(-2) != 0] distinct roots.
 
-    From h = ``SQUARE_FREE_SPLIT_DEGREE`` on, the Descartes counter is tried
-    first, on r(x) = q(-2 - x). When q(-2) != 0, ``_checked_gcd`` proves q
+    From h = ``SQUARE_FREE_SPLIT_DEGREE`` on, the Descartes counter decides,
+    on r(x) = q(-2 - x): when q(-2) != 0, ``_checked_gcd`` proves q
     square-free and r has h roots in (0, 2**k) (which needs h sign
     variations), q has h simple roots below -2 and p has 2h + [d odd]
-    simple negative ones. Otherwise, and below that degree, the chain of q
-    counts its roots in (-2, 2] as V(-2) - V(2). None (q has a repeated or
-    non-real root, or one in (-2, 2)) leaves the decision to the other
-    routes.
+    simple negative ones. Any other p of that degree gets None: the chain
+    of q could certify only q(-2) = 0 or roots of q at or above 2, and the
+    split into square-free factors certifies those too. Below that degree
+    the chain of q counts its roots in (-2, 2] as V(-2) - V(2), and None
+    (q has a repeated or non-real root, or one in (-2, 2)) leaves the
+    decision to the other routes.
     """
     if len(coefficients) < 3 or coefficients != coefficients[::-1]:
         return None
@@ -619,6 +625,7 @@ def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate
             and _positive_root_count(r, _root_bound_exponent(r)) == h
         ):
             return RealRootCertificate(True, 2 * h + odd, 2 * h + odd)
+        return None
     chain = _remainder_chain(q, _derivative(q))
     # h distinct real roots make q square-free, so that needs no check of its own
     if _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True) != h:
@@ -641,8 +648,8 @@ def is_real_rooted(p: IntPolynomial) -> RealRootCertificate:
     h = floor(d/2), and ``p`` is accepted when q has h simple real roots,
     none in (-2, 2). From h = ``SQUARE_FREE_SPLIT_DEGREE`` on, q proved
     square-free by a gcd image of degree 0 and h roots of q below -2,
-    counted by Descartes' rule on q(-2 - x), accept ``p``; otherwise one
-    chain of q and q' decides.
+    counted by Descartes' rule on q(-2 - x), accept ``p``, and nothing
+    else does; below it, one chain of q and q' decides.
 
     Otherwise, below degree ``SQUARE_FREE_SPLIT_DEGREE``, one remainder chain
     of p and p' decides: its last element is gcd(p, p'), and its sign

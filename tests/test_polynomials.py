@@ -546,9 +546,13 @@ def _palindromic_product(factors):
 
 
 # palindromic inputs whose q has degree h >= 16, which the half-degree route
-# tries on the Descartes counter first: r(x) = q(-2 - x) must have h positive
-# roots, and q must be proved square-free
+# decides on the Descartes counter alone: r(x) = q(-2 - x) must have h
+# positive roots, and q must be proved square-free
 _BASE30 = _palindromic_product(range(2, 17))
+
+
+def _no_chain(a, b):
+    raise AssertionError("a remainder chain was built")
 
 
 @pytest.mark.parametrize(
@@ -559,11 +563,7 @@ _BASE30 = _palindromic_product(range(2, 17))
 def test_the_half_degree_counter_accepts_without_any_chain(make, monkeypatch):
     poly = make()
     assert poly.degree // 2 >= SQUARE_FREE_SPLIT_DEGREE
-
-    def no_chain(a, b):
-        raise AssertionError("a remainder chain was built")
-
-    monkeypatch.setattr(polynomials_module, "_remainder_chain", no_chain)
+    monkeypatch.setattr(polynomials_module, "_remainder_chain", _no_chain)
     assert is_real_rooted(poly) == RealRootCertificate(True, poly.degree, poly.degree)
 
 
@@ -593,6 +593,18 @@ def test_the_half_degree_route_equals_the_plain_chain(poly, monkeypatch):
 
     monkeypatch.setattr(polynomials_module, "_positive_root_count", square_free_only)
     assert is_real_rooted(poly) == _plain_certificate(poly.coefficients)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [poly for name, poly in _HALF_DEGREE_CASES.items() if name != "A_35"],
+    ids=[name for name in _HALF_DEGREE_CASES if name != "A_35"],
+)
+def test_the_half_degree_route_declines_without_the_chain_of_q(poly, monkeypatch):
+    # from h = 16 a declined count leaves p to the split; the chain of q is
+    # not built as a second try
+    monkeypatch.setattr(polynomials_module, "_remainder_chain", _no_chain)
+    assert _palindromic_certificate(poly.coefficients) is None
 
 
 @pytest.mark.parametrize("n, m", [(n, n) for n in range(7, 12)] + [(4, 12), (4, 15), (4, 20), (3, 20), (5, 9)])
