@@ -10,16 +10,27 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .combinatorics import BallotPath, LatticeWord, Partition, StandardTableau, _relabel
+from .combinatorics import (
+    BallotPath,
+    LatticeWord,
+    Partition,
+    StandardTableau,
+    _relabel,
+    _rows_from_word,
+    _trusted,
+)
 
 
 def word_to_tableau(word: LatticeWord) -> StandardTableau:
     """Fill row i with the positions at which symbol i occurs in the word.
 
     The result is a standard filling of the m-by-n rectangle: row i lists,
-    left to right, where the first, second, ... occurrence of i sits.
+    left to right, where the first, second, ... occurrence of i sits. The
+    word has passed the ballot scan, which is the whole check of these rows,
+    so the tableau is built without a second one.
     """
-    return StandardTableau._from_row_word(word.symbols, (word.n,) * word.m)
+    symbols = word.symbols
+    return _trusted(StandardTableau, rows=_rows_from_word(symbols, word.m), _row_word=symbols)
 
 
 def tableau_to_word(tableau: StandardTableau) -> LatticeWord:

@@ -12,13 +12,15 @@ most one completion more than the lines already yielded, so no line waits
 for a table larger than the output before it.
 
 Words, paths and tableaux are checked by the one ballot scan that mirrors
-that generator. The public constructors run it in full on every object: a
-word directly, a path in the mirrored alphabet of its steps, and a tableau
-as its row word. The enumerators run it inside the generator, where its
-work is shared: each walked prefix once from zero counts, and each
+that generator, always in the alphabet of words. The public constructors
+run it in full on every object: a word directly, a path as its relabeled
+word (``_relabel``, the one place that knows the word/path mirror), and a
+tableau as its row word. The enumerators run it inside the generator, where
+its work is shared: each walked prefix once from zero counts, and each
 completion table once per count vector that a prefix scan reached, from
-those counts. Every symbol of every enumerated word is checked, and the
-objects are built from the checked sequences without a second scan.
+those counts. Every symbol of every enumerated word is checked, and
+``_trusted`` builds the objects from the checked sequences without a second
+scan.
 
 ``enumerate_lines`` yields the string forms of those objects and builds
 none of them: it formats each checked prefix once per block and each
@@ -78,9 +80,8 @@ class Partition:
     @classmethod
     def rectangle(cls, n: int, m: int) -> "Partition":
         """The shape with m rows of length n (empty if either side is zero)."""
-        if n < 0 or m < 0:
-            raise ValueError("rectangle sides must be nonnegative")
-        return cls((n,) * m if n > 0 else ())
+        rows = _word_quotas(n, m)
+        return cls(rows if n else ())
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
@@ -112,15 +113,14 @@ class Partition:
 
 def _word_quotas(n: int, m: int) -> IntTuple:
     """Symbol quotas of the words of weight (n, m): each of 1..m occurs n times."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
+    if not (type(n) is int and type(m) is int and n >= 0 and m >= 0):  # a bool is refused too
+        raise ValueError(f"n and m must be nonnegative integers, got {n!r} and {m!r}")
     return (n,) * m
 
 
 def _scan_ballot(
     symbols: Sequence[int],
     quotas: Sequence[int] | None,
-    mirrored: bool = False,
     start: list[int] | None = None,
 ) -> tuple[int, int] | None:
     """The check that mirrors ``_ballot_blocks(quotas)``: None for a ballot
@@ -129,11 +129,6 @@ def _scan_ballot(
     that is not an int in 1..len(quotas) raises a ValueError naming the
     position.
 
-    ``mirrored`` scans in the mirrored alphabet (s read as k+1-s), the steps
-    of a path, without relabeling them: symbol s is then bounded by the count
-    of s+1, quotas[0] is the quota of k, and the result names the symbol as
-    given, so it is the mirror of the result for the relabeled sequence.
-
     ``start``, when given, holds the symbol counts of a prefix scanned before
     (start[s-1] for symbol s): the scan goes on from them, numbers positions
     after that prefix, and on success leaves in the list the counts it
@@ -141,26 +136,22 @@ def _scan_ballot(
     alphabet is 1..len(start) and no quota is checked."""
     k = len(start) if quotas is None else len(quotas)
     done = sum(start) if start else 0
-    # the sentinels exceed every count, so the first symbol of the order
-    # (1, or k when mirrored) is never dominated
-    sentinel = done + len(symbols) + 1
-    counts = [sentinel, *(start or [0] * k), sentinel]
-    above = 1 if mirrored else -1
+    # the sentinel exceeds every count, so symbol 1 is never dominated
+    counts = [done + len(symbols) + 1, *(start or [0] * k)]
     for position, symbol in enumerate(symbols, start=done + 1):
         if not (type(symbol) is int and 0 < symbol <= k):  # a bool is refused too
             raise ValueError(
                 f"symbol {symbol!r} at position {position} is outside the alphabet 1..{k}"
             )
         count = counts[symbol] + 1
-        if count > counts[symbol + above]:
+        if count > counts[symbol - 1]:
             return position, symbol
         counts[symbol] = count
     if start is not None:
-        start[:] = counts[1:-1]
+        start[:] = counts[1:]
     if quotas is None:
         return None
-    order = range(k, 0, -1) if mirrored else range(1, k + 1)
-    for symbol, quota in zip(order, quotas):
+    for symbol, quota in enumerate(quotas, start=1):
         if counts[symbol] != quota:
             return 0, symbol
     return None
@@ -199,18 +190,6 @@ class LatticeWord:
             else:
                 reason = f"symbol {symbol} occurs {self.symbols.count(symbol)} times, expected {self.n}"
             raise ValueError(f"not a lattice word: {reason}")
-
-    @classmethod
-    def _checked(cls, symbols: IntTuple, n: int, m: int) -> "LatticeWord":
-        """The word of a symbol tuple that the ballot scan has accepted for
-        the quotas (n,)*m, built without scanning it again; the public
-        constructor sets the same fields and scans."""
-        word = object.__new__(cls)
-        fields = word.__dict__
-        fields["symbols"] = symbols
-        fields["n"] = n
-        fields["m"] = m
-        return word
 
     @classmethod
     def from_string(cls, text: str, n: int, m: int) -> "LatticeWord":
@@ -261,34 +240,26 @@ class BallotPath:
     m: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        quotas = _word_quotas(self.n, self.m)
+        steps = tuple(self.steps)
+        object.__setattr__(self, "steps", steps)
+        m = self.m
+        quotas = _word_quotas(self.n, m)
         try:
-            failure = _scan_ballot(self.steps, quotas, mirrored=True)
+            # a bool is refused here: relabeled, it would be an int
+            if not all(type(step) is int for step in steps):
+                raise ValueError
+            failure = _scan_ballot(_relabel(steps, m), quotas)
         except ValueError:
-            raise ValueError(f"steps must be integers in 1..{self.m}, got {self.steps}") from None
+            raise ValueError(f"steps must be integers in 1..{m}, got {steps}") from None
         if failure is not None:
-            position, step = failure
+            position, symbol = failure
+            step = m + 1 - symbol
             if position:
                 raise ValueError(
                     f"prefix of length {position} pushes coordinate {step} above "
                     f"coordinate {step + 1}"
                 )
-            raise ValueError(
-                f"step {step} occurs {self.steps.count(step)} times, expected {self.n}"
-            )
-
-    @classmethod
-    def _checked(cls, steps: IntTuple, n: int, m: int) -> "BallotPath":
-        """The path of a step tuple whose mirrored word the ballot scan has
-        accepted for the quotas (n,)*m, built without scanning it again; the
-        public constructor sets the same fields and scans."""
-        path = object.__new__(cls)
-        fields = path.__dict__
-        fields["steps"] = steps
-        fields["n"] = n
-        fields["m"] = m
-        return path
+            raise ValueError(f"step {step} occurs {steps.count(step)} times, expected {self.n}")
 
     def ascent_count(self) -> int:
         return _pair_count(self.steps, lt)
@@ -336,38 +307,6 @@ class StandardTableau:
             raise _column_error(rows, row_word, *failure)
         object.__setattr__(self, "_row_word", tuple(row_word))
 
-    @classmethod
-    def _from_row_word(
-        cls, row_word: Sequence[int], parts: Sequence[int]
-    ) -> "StandardTableau":
-        """The tableau whose entry e sits in row row_word[e-1], for a shape
-        with the given row lengths; equal to the rows constructor on
-        ``_rows_from_word(row_word, len(parts))``.
-
-        Rows built that way increase and cover 1..p, so the ballot scan of
-        the row word is the whole standardness check. The row word is meant
-        to hold parts[i-1] copies of i, as every caller's ballot word does;
-        the scan rejects any other, though the column it then names need not
-        exist."""
-        failure = _scan_ballot(row_word, parts)
-        if failure is not None:
-            raise _column_error(_rows_from_word(row_word, len(parts)), row_word, *failure)
-        return cls._checked(_rows_from_word(row_word, len(parts)), tuple(row_word))
-
-    @classmethod
-    def _checked(
-        cls, rows: tuple[IntTuple, ...], row_word: IntTuple
-    ) -> "StandardTableau":
-        """The tableau of a row word that the ballot scan has accepted for its
-        shape and of the rows ``_rows_from_word(row_word, len(parts))``,
-        built without scanning it again; ``_from_row_word`` is this after
-        the scan."""
-        tableau = object.__new__(cls)
-        fields = tableau.__dict__
-        fields["rows"] = rows
-        fields["_row_word"] = row_word
-        return tableau
-
     @property
     def shape(self) -> Partition:
         return Partition(tuple(len(row) for row in self.rows))
@@ -393,6 +332,16 @@ class StandardTableau:
     def __str__(self) -> str:
         rows = self.rows
         return _rows_format(tuple(map(len, rows))) % sum(rows, ())
+
+
+def _trusted(cls: type, **fields: object):
+    """The frozen value of cls with these fields, which the public constructor
+    would set after its check, built without that check: for a word or path
+    that the ballot scan has accepted, or a tableau of such a row word with
+    the rows ``_rows_from_word`` makes of it, which increase and cover 1..p."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 @lru_cache(maxsize=64)
@@ -605,7 +554,7 @@ def _ballot_blocks(
         symbol = 1
 
 
-def _checked_blocks(
+def _scanned_blocks(
     quotas: Sequence[int], convert: Callable[[IntTuple, IntTuple], object] | None = None
 ) -> Iterator[tuple[IntTuple, list]]:
     """The blocks of ``_ballot_blocks(quotas)``, each checked by the ballot
@@ -649,10 +598,9 @@ def enumerate_lattice_words(
     symbol form a contiguous block of the output.
     """
     _check_budget(n * m, max_cells)
-    build = LatticeWord._checked
-    for prefix, tails in _checked_blocks(_word_quotas(n, m)):
+    for prefix, tails in _scanned_blocks(_word_quotas(n, m)):
         for rest in tails:
-            yield build(prefix + rest, n, m)
+            yield _trusted(LatticeWord, symbols=prefix + rest, n=n, m=m)
 
 
 def enumerate_ballot_paths(
@@ -661,11 +609,10 @@ def enumerate_ballot_paths(
     """Yield every ballot path to (n, ..., n) once; the order mirrors the
     lexicographic word order under the symbol/step relabeling."""
     _check_budget(n * m, max_cells)
-    build = BallotPath._checked
-    for prefix, tails in _checked_blocks(_word_quotas(n, m), lambda rest, _: _relabel(rest, m)):
+    for prefix, tails in _scanned_blocks(_word_quotas(n, m), lambda rest, _: _relabel(rest, m)):
         head = _relabel(prefix, m)
         for tail in tails:
-            yield build(head + tail, n, m)
+            yield _trusted(BallotPath, steps=head + tail, n=n, m=m)
 
 
 def enumerate_syt(
@@ -676,15 +623,16 @@ def enumerate_syt(
     _check_budget(shape.cells, max_cells)
     parts = shape.parts
     k = len(parts)
-    build = StandardTableau._checked
 
     def with_rows(rest: IntTuple, reached: IntTuple) -> tuple[IntTuple, tuple[IntTuple, ...]]:
         return rest, _row_positions(rest, k, sum(reached) + 1)
 
-    for prefix, tails in _checked_blocks(parts, with_rows):
+    for prefix, tails in _scanned_blocks(parts, with_rows):
         head = _row_positions(prefix, k)
         for rest, tail in tails:
-            yield build(tuple(map(concat, head, tail)), prefix + rest)
+            yield _trusted(
+                StandardTableau, rows=tuple(map(concat, head, tail)), _row_word=prefix + rest
+            )
 
 
 def enumerate_lines(
@@ -704,9 +652,11 @@ def enumerate_lines(
     if kind == "syt":
         quotas = Partition(tuple(quotas)).parts
     else:
-        quotas = tuple(quotas)
-        if len(set(quotas)) > 1 or min(quotas, default=0) < 0:
-            raise ValueError(f"quotas of words and paths must be (n,)*m, got {quotas}")
+        given = tuple(quotas)
+        quotas = _word_quotas(given[0] if given else 0, len(given))
+        # == alone would take a quota of 2.0 or True for the int 2 or 1
+        if given != quotas or len(set(map(type, given))) > 1:
+            raise ValueError(f"quotas of words and paths must be (n,)*m, got {given}")
     _check_budget(sum(quotas), max_cells)
     k = len(quotas)
     if kind == "syt":
@@ -718,7 +668,7 @@ def enumerate_lines(
                 for count, row in zip(reached, rows)
             )
 
-        for prefix, tails in _checked_blocks(quotas, row_strings):
+        for prefix, tails in _scanned_blocks(quotas, row_strings):
             head = ";".join([_comma_join(row) + "%s" for row in _row_positions(prefix, k)])
             yield from map(head.__mod__, tails)
         return
@@ -730,7 +680,7 @@ def enumerate_lines(
         # both are nonempty; a prefix may be a whole word, or empty
         return "," + text if k > 9 and symbols and any(reached) else text
 
-    for prefix, tails in _checked_blocks(quotas, symbols_string):
+    for prefix, tails in _scanned_blocks(quotas, symbols_string):
         yield from map(symbols_string(prefix).__add__, tails)
 
 

@@ -9,27 +9,15 @@ Eulerian polynomials of Ferrers posets (EC1 §3.15), by the one DP of
 (eq. (3.3)), the natural labels of the rectangle word descents. The checks
 form a triangle: ``theorem21`` is the word DP against the closed form,
 ``sulanke`` the word DP against the tableau DP, and ``eq33`` (in ``posets``)
-the tableau DP against the closed form. ``_tally`` over the enumerated ballot
-sequences remains the test oracle.
+the tableau DP against the closed form. The tests tally the enumerated
+ballot sequences as their oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from .combinatorics import Partition, _descent_closed_form, _pair_count, syt_count_hook
+from .combinatorics import Partition, _descent_closed_form, syt_count_hook
 from .polynomials import IdentityReport, IntPolynomial, compare_sequences
 from .posets import column_strict_ferrers_poset, eulerian_polynomial, ferrers_poset
-
-
-def _tally(words: Iterable[Sequence[int]], length: int, compare) -> list[int]:
-    """Count the words of the given length by how many adjacent pairs (a, b)
-    satisfy ``compare(a, b)``; entry k of the result counts the words with
-    exactly k such pairs."""
-    tallies = [0] * max(1, length)
-    for word in words:
-        tallies[_pair_count(word, compare)] += 1
-    return tallies
 
 
 def narayana_polynomial(n: int, m: int) -> IntPolynomial:
@@ -45,11 +33,10 @@ def narayana_polynomial(n: int, m: int) -> IntPolynomial:
     polynomial has a closed form (EC2 Prop. 7.19.12 with the hook-content
     formula, EC2 Cor. 7.21.4) in O(p^2) integer operations for p cells.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    if n == 0 or m == 0:
+    rectangle = Partition.rectangle(n, m)
+    if not rectangle.cells:
         return IntPolynomial([1])
-    return IntPolynomial(_descent_closed_form(Partition.rectangle(n, m))[m - 1 :])
+    return IntPolynomial(_descent_closed_form(rectangle)[m - 1 :])
 
 
 def syt_descent_polynomial(shape: Partition) -> IntPolynomial:

@@ -297,7 +297,7 @@ def _gcd_image(a: Sequence[int], b: Sequence[int], modulus: int) -> list[int]:
     return [c * inverse % modulus for c in x]
 
 
-def _checked_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+def _proved_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     """(g, a / g, b / g) for the primitive gcd g of two nonzero polynomials,
     with positive leading coefficient.
 
@@ -338,7 +338,7 @@ def _square_free_factors(coefficients: Sequence[int]) -> list[list[int]] | None:
     d_i = c_i - b_i', a_i = gcd(b_i, d_i), b_(i+1) = b_i / a_i and
     c_(i+1) = d_i / a_i; d_i = 0 exactly when b_i = a_i is the last factor.
     """
-    g, b, c = _checked_gcd(coefficients, _derivative(coefficients))
+    g, b, c = _proved_gcd(coefficients, _derivative(coefficients))
     if len(g) == 1:
         return None
     factors = []
@@ -346,7 +346,7 @@ def _square_free_factors(coefficients: Sequence[int]) -> list[list[int]] | None:
         d = _strip([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
         if not d:
             return factors + [b]
-        a, b, c = _checked_gcd(b, d)
+        a, b, c = _proved_gcd(b, d)
         if len(a) > 1:
             factors.append(a)
 
@@ -356,7 +356,7 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     polynomial with positive leading coefficient times the content gcd.
 
     The primitive part is a modular gcd image accepted only by exact division
-    of both inputs, with the remainder chain as fallback (``_checked_gcd``).
+    of both inputs, with the remainder chain as fallback (``_proved_gcd``).
     """
     if a.is_zero and b.is_zero:
         return IntPolynomial()
@@ -364,7 +364,7 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         return b.primitive() * b.content()
     if b.is_zero:
         return a.primitive() * a.content()
-    g = _checked_gcd(a.coefficients, b.coefficients)[0]
+    g = _proved_gcd(a.coefficients, b.coefficients)[0]
     return IntPolynomial(g) * gcd(a.content(), b.content())
 
 
@@ -378,7 +378,7 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
         raise ValueError("the zero polynomial has no square-free part")
     if p.degree == 0:
         return IntPolynomial.one()
-    quotient = _checked_gcd(p.coefficients, _derivative(p.coefficients))[1]
+    quotient = _proved_gcd(p.coefficients, _derivative(p.coefficients))[1]
     return IntPolynomial(_primitive(quotient))
 
 
@@ -601,7 +601,7 @@ def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate
     2h - [q(-2) = 0] - [q(2) = 0] + [d odd and q(-2) != 0] distinct roots.
 
     From h = ``SQUARE_FREE_SPLIT_DEGREE`` on, the Descartes counter decides,
-    on r(x) = q(-2 - x): when q(-2) != 0, ``_checked_gcd`` proves q
+    on r(x) = q(-2 - x): when q(-2) != 0, ``_proved_gcd`` proves q
     square-free and r has h roots in (0, 2**k) (which needs h sign
     variations), q has h simple roots below -2 and p has 2h + [d odd]
     simple negative ones. Any other p of that degree gets None: the chain
@@ -621,7 +621,7 @@ def _palindromic_certificate(coefficients: Sequence[int]) -> RealRootCertificate
         if (
             r[0]
             and _variations(r) == h
-            and len(_checked_gcd(q, _derivative(q))[0]) == 1
+            and len(_proved_gcd(q, _derivative(q))[0]) == 1
             and _positive_root_count(r, _root_bound_exponent(r)) == h
         ):
             return RealRootCertificate(True, 2 * h + odd, 2 * h + odd)
@@ -656,7 +656,7 @@ def is_real_rooted(p: IntPolynomial) -> RealRootCertificate:
     variations at -infinity and +infinity count the distinct real roots.
     From that degree on, Yun's algorithm splits ``p`` into square-free
     factors, with gcds from modular images accepted only by exact division
-    (``_checked_gcd``); a gcd image of degree 0 proves ``p`` square-free,
+    (``_proved_gcd``); a gcd image of degree 0 proves ``p`` square-free,
     and ``p`` is then the only factor. Each factor is accepted by the
     palindromic route or its real roots are counted by Descartes' rule of
     signs (``_descartes_root_count``). Every route gives the chain's

@@ -4,11 +4,10 @@ from operator import gt, lt
 import pytest
 from hypothesis import given, strategies as st
 
-from narayana.combinatorics import (BudgetExceededError, Partition, _checked_blocks,
-                                    _descent_closed_form, enumerate_lattice_words,
+from narayana.combinatorics import (BudgetExceededError, Partition, _descent_closed_form,
+                                    _scanned_blocks, enumerate_lattice_words,
                                     enumerate_partitions)
 from narayana.generating import (
-    _tally,
     narayana_polynomial,
     rectangular_catalan,
     syt_descent_polynomial,
@@ -19,11 +18,28 @@ from narayana.polynomials import IntPolynomial, compare_sequences
 from narayana.posets import column_strict_ferrers_poset, eulerian_polynomial, ferrers_poset
 
 
+def _tally(words, length, compare):
+    """Count the words of the given length by how many adjacent pairs (a, b)
+    satisfy ``compare(a, b)``; entry k of the result counts the words with
+    exactly k such pairs."""
+    tallies = [0] * max(1, length)
+    for word in words:
+        tallies[sum(map(compare, word, word[1:]))] += 1
+    return tallies
+
+
 def test_trivial_weights_give_one():
     for m in (1, 2, 5):
         assert narayana_polynomial(1, m) == IntPolynomial([1])
     assert narayana_polynomial(0, 3) == IntPolynomial([1])
     assert narayana_polynomial(3, 0) == IntPolynomial([1])
+
+
+@pytest.mark.parametrize("n,m", [(-1, 2), (0, 2.5), (True, 0), (2.0, 2)])
+def test_weights_that_are_not_nonnegative_ints_are_refused(n, m):
+    # an empty rectangle answers 1, but only for a weight of two ints
+    with pytest.raises(ValueError, match="n and m must be nonnegative integers"):
+        narayana_polynomial(n, m)
 
 
 def test_classical_narayana_row():
@@ -130,7 +146,7 @@ def test_ballot_tally_matches_the_enumerated_tally_up_to_12_cells(compare, build
     # descends, the column-strict one where it ascends
     for total in range(13):
         for shape in enumerate_partitions(total):
-            words = (head + rest for head, tails in _checked_blocks(shape.parts) for rest in tails)
+            words = (head + rest for head, tails in _scanned_blocks(shape.parts) for rest in tails)
             expected = IntPolynomial(_tally(words, total, compare))
             assert eulerian_polynomial(build(shape)) == expected, shape
 

@@ -15,7 +15,7 @@ from narayana.combinatorics import (
     enumerate_partitions,
     syt_count_hook,
 )
-from narayana.generating import _tally, syt_descent_polynomial
+from narayana.generating import syt_descent_polynomial
 from narayana.polynomials import IntPolynomial
 from narayana import posets
 from narayana.posets import (
@@ -310,7 +310,10 @@ def labeled_posets(draw, max_size=8):
 
 def _extension_tally(poset):
     """The oracle: descents counted on every Jordan-Holder permutation."""
-    return IntPolynomial(_tally(jordan_holder_set(poset), poset.size, gt))
+    tallies = [0] * max(1, poset.size)
+    for pi in jordan_holder_set(poset):
+        tallies[sum(map(gt, pi, pi[1:]))] += 1
+    return IntPolynomial(tallies)
 
 
 class TestEulerianDP:
