@@ -64,6 +64,7 @@ from .generating import (
     verify_sulanke_equidistribution,
     verify_tableau_identity,
 )
+from . import cache  # unused; bench/layers.py looks it up by name until ROADMAP item 0
 
 __all__ = [
     "BallotPath",

@@ -79,11 +79,11 @@ def perm_to_tableau(
     cell_of_label: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(rows):
         for j, label in enumerate(row):
-            if not isinstance(label, int) or not 1 <= label <= p or label in cell_of_label:
+            if type(label) is not int or not 1 <= label <= p or label in cell_of_label:
                 raise ValueError("labeling must assign each of 1..p to exactly one cell")
             cell_of_label[label] = (i, j)
     values = tuple(pi)
-    if sorted(values) != list(range(1, p + 1)):
+    if not all(type(value) is int for value in values) or sorted(values) != list(range(1, p + 1)):
         raise ValueError(f"pi must be a permutation of 1..{p}, got {values}")
     grid = [[0] * length for length in shape.parts]
     for k, value in enumerate(values, start=1):

@@ -1,4 +1,11 @@
-"""On-disk JSON cache for computed coefficient vectors.
+"""On-disk JSON cache for computed coefficient vectors. No ``narayana`` code
+calls it.
+
+No command keeps a cache: ``poly`` computes and certifies every request,
+which costs less than loading, checking and rewriting a file. The module
+stays, imported by the package, only because ``bench/layers.py`` looks up
+``narayana.cache``, ``narayana_key``, ``wpoly_key`` and the methods of
+``PolynomialCache`` by name; it goes when that lookup does (ROADMAP item 0).
 
 Fail-open by design: a missing, unreadable, or corrupt cache file behaves
 like an empty cache (with a warning), and writes go through a temp file

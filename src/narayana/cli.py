@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
 from . import __version__
-from .cache import CACHE_ENV_VAR, DEFAULT_CACHE_PATH, PolynomialCache, narayana_key
 from .combinatorics import (
     DEFAULT_MAX_CELLS,
     BudgetExceededError,
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config",
         metavar="FILE",
-        help="JSON file with defaults for cache, jobs, max_cells, format",
+        help="JSON file with defaults for jobs, max_cells, format",
     )
     commands = parser.add_subparsers(dest="command", metavar="command")
 
@@ -104,8 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default plain)",
     )
     poly.add_argument("--max-cells", type=_positive, default=None, dest="max_cells")
-    cache_help = f"cache file (default {DEFAULT_CACHE_PATH}, or ${CACHE_ENV_VAR})"
-    _add_cache_flags(poly, cache_help, "disable persistence")
+    _add_cache_flags(poly)
 
     enum = commands.add_parser("enumerate", help="stream objects one per line")
     enum.add_argument("--kind", choices=("words", "syt", "paths"), required=True)
@@ -144,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="JSON poset description; restricts the ordergf suite to that poset",
     )
-    _add_cache_flags(verify, "accepted and ignored (verify keeps no cache)", "accepted and ignored")
+    _add_cache_flags(verify)
 
     analyze = commands.add_parser(
         "analyze", help="diagnostics for an arbitrary integer coefficient list"
@@ -163,17 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser ``main`` uses, built on its first call. Parsing leaves a
-    parser unchanged and returns a fresh namespace, and config and
-    environment are applied to that namespace per call, so one parser serves
-    every request of the process."""
+    parser unchanged and returns a fresh namespace, and the config is applied
+    to that namespace per call, so one parser serves every request of the
+    process."""
     return build_parser()
 
 
-def _add_cache_flags(
-    subparser: argparse.ArgumentParser, cache_help: str, no_cache_help: str
-) -> None:
-    subparser.add_argument("--cache", metavar="PATH", default=None, help=cache_help)
-    subparser.add_argument("--no-cache", action="store_true", dest="no_cache", help=no_cache_help)
+def _add_cache_flags(subparser: argparse.ArgumentParser) -> None:
+    subparser.add_argument(
+        "--cache", metavar="PATH", help="accepted and ignored (no command keeps a cache)"
+    )
+    subparser.add_argument("--no-cache", action="store_true", help="accepted and ignored")
 
 
 def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
@@ -187,18 +185,12 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
     return data
 
 
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("must be a string")
-    return value
-
-
 def _apply_config(parser: argparse.ArgumentParser, args) -> None:
     """Fill the settings the command line left unset.
 
-    Explicit flags win over the environment, which wins over config values,
-    which win over built-in defaults. A config value goes through the same
-    validator as its flag, and a bad file or value is a usage error.
+    Explicit flags win over config values, which win over built-in
+    defaults. A config value goes through the same validator as its flag,
+    and a bad file or value is a usage error.
     """
     config = _read_config(parser, args.config) if args.config else {}
 
@@ -227,11 +219,6 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
         print("note: series terms are ignored; ordergf compares every coefficient", file=sys.stderr)
     if hasattr(args, "format") and args.format is None:
         args.format = setting("format", choice, "plain")
-    if hasattr(args, "cache"):
-        configured = setting("cache", _string, None)
-        args.cache = (
-            args.cache or os.environ.get(CACHE_ENV_VAR) or configured or DEFAULT_CACHE_PATH
-        )
 
 
 def _analysis_flags(poly: IntPolynomial) -> dict:
@@ -245,23 +232,8 @@ def _analysis_flags(poly: IntPolynomial) -> dict:
 def cmd_poly(args) -> int:
     # poly's one cap, on the degree certified; before the rectangle is built
     _check_budget(args.n * args.m, args.max_cells)
-    cache = PolynomialCache(args.cache, enabled=not args.no_cache, version=__version__)
-    key = narayana_key(args.n, args.m)
-    catalan = rectangular_catalan(args.n, args.m)
-    coefficients = cache.get_coefficients(key)
-    if coefficients is not None and sum(coefficients) != catalan:
-        print(f"warning: cache entry {key!r} fails the count check, recomputing", file=sys.stderr)
-        coefficients = None
-    computed = coefficients is None
-    if computed:
-        poly = narayana_polynomial(args.n, args.m)
-    else:
-        poly = IntPolynomial(coefficients)
+    poly = narayana_polynomial(args.n, args.m)
     flags = _analysis_flags(poly)
-    # only a computed polynomial is news to the cache; a hit leaves the file alone
-    if computed:
-        cache.put(key, poly.coefficients, flags=flags)
-        cache.save()
     if args.format == "plain":
         print(" ".join(str(c) for c in poly.coefficients))
     elif args.format == "csv":
@@ -274,7 +246,7 @@ def cmd_poly(args) -> int:
             "m": args.m,
             "coefficients": [str(c) for c in poly.coefficients],
             "degree": poly.degree,
-            "catalan": str(catalan),
+            "catalan": str(rectangular_catalan(args.n, args.m)),
             **flags,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))

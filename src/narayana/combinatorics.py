@@ -317,7 +317,7 @@ class StandardTableau:
 
     def row_of(self, entry: int) -> int:
         """1-indexed row containing the entry."""
-        if isinstance(entry, int) and 0 < entry <= self.size:
+        if type(entry) is int and 0 < entry <= self.size:  # a bool is refused too
             return self._row_word[entry - 1]
         raise ValueError(f"entry {entry} is not in the tableau")
 

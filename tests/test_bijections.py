@@ -108,6 +108,22 @@ def test_perm_to_tableau_rejects_bad_input():
         perm_to_tableau((1, 2, 3), ((1, 2), (9,)), shape)
 
 
+@pytest.mark.parametrize(
+    "pi, labeling, message",
+    [
+        ((3, 4, True, 2), ((3, 4), (1, 2)), "permutation"),
+        ((3, 4, 1.0, 2), ((3, 4), (1, 2)), "permutation"),
+        ((3, 4, 1, 2), ((3, 4), (True, 2)), "labeling"),
+        ((3, 4, 1, 2), ((3, 4.0), (1, 2)), "labeling"),
+    ],
+    ids=["bool in pi", "float in pi", "bool label", "float label"],
+)
+def test_perm_to_tableau_refuses_values_that_are_not_ints(pi, labeling, message):
+    # with ints in their place, (3, 4, 1, 2) fills ((1, 2), (3, 4))
+    with pytest.raises(ValueError, match=message):
+        perm_to_tableau(pi, labeling, Partition((2, 2)))
+
+
 WEIGHTS = [(n, m) for n in range(1, 5) for m in range(1, 5) if n * m <= 9]
 
 

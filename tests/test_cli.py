@@ -94,7 +94,7 @@ class TestPoly:
         def exhausted(n, m):
             raise MemoryError
 
-        monkeypatch.setattr("narayana.cli.rectangular_catalan", exhausted)
+        monkeypatch.setattr("narayana.cli.narayana_polynomial", exhausted)
         code, out, err = run(capsys, "poly", "--n", "1", "--m", "1", "--no-cache")
         assert code == 3
         assert out == ""
@@ -112,70 +112,39 @@ class TestPoly:
         assert payload["real_rooted"] is True
 
 
-class TestCache:
-    def test_cached_and_fresh_results_are_identical(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        outputs = []
-        for _ in range(2):
-            code, out, _ = run(capsys, "poly", "--n", "4", "--m", "2", "--cache", cache)
-            assert code == 0
-            outputs.append(out)
-        code, fresh, _ = run(capsys, "poly", "--n", "4", "--m", "2", "--no-cache")
-        assert code == 0
-        assert outputs[0] == outputs[1] == fresh
-        stored = json.loads(open(cache).read())
-        entry = stored["narayana:n=4,m=2"]
-        assert entry["coefficients"] == ["1", "6", "6", "1"]
-        assert entry["flags"]["real_rooted"] is True
+# the stdout of ``poly --n 4 --m 2`` in each format
+POLY_4_2 = {
+    "plain": "1 6 6 1\n",
+    "json": '{\n  "catalan": "14",\n  "coefficients": [\n    "1",\n    "6",\n    "6",\n'
+    '    "1"\n  ],\n  "degree": 3,\n  "log_concave": true,\n  "m": 2,\n  "n": 4,\n'
+    '  "real_rooted": true,\n  "unimodal": true\n}\n',
+    "csv": "exponent,coefficient\n0,1\n1,6\n2,6\n3,1\n",
+}
+# flags, environment, config: each way to name a cache file, all ignored
+CACHE_SETTINGS = {
+    "no flag": ([], {}, None),
+    "--cache F": (["--cache", "F.json"], {}, None),
+    "--no-cache": (["--no-cache"], {}, None),
+    "NARAYANA_CACHE=F": ([], {"NARAYANA_CACHE": "F.json"}, None),
+    "config cache F": ([], {}, {"cache": "F.json"}),
+}
 
-    def test_corrupt_cache_is_ignored_with_warning(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text("not json at all")
-        code, out, err = run(capsys, "poly", "--n", "2", "--m", "2", "--cache", str(cache))
-        assert code == 0
-        assert out.strip() == "1 1"
-        assert "warning" in err and "cache" in err
 
-    def test_poisoned_entry_is_recomputed(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text(
-            json.dumps({"narayana:n=2,m=2": {"coefficients": ["7", "7"]}})
-        )
-        code, out, err = run(capsys, "poly", "--n", "2", "--m", "2", "--cache", str(cache))
-        assert code == 0
-        assert out.strip() == "1 1"
-        assert "count check" in err
-
-    def test_cache_hit_leaves_the_file_untouched(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        run(capsys, "poly", "--n", "3", "--m", "2", "--cache", str(cache))
-        before = os.stat(cache)
-        content = cache.read_bytes()
-        code, out, _ = run(capsys, "poly", "--n", "3", "--m", "2", "--cache", str(cache))
-        assert code == 0
-        assert out.strip() == "1 3 1"
-        after = os.stat(cache)
-        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-        assert cache.read_bytes() == content
-
-    def test_environment_variable_sets_path(self, capsys, tmp_path, monkeypatch):
-        target = tmp_path / "env-cache.json"
-        monkeypatch.setenv("NARAYANA_CACHE", str(target))
-        monkeypatch.chdir(tmp_path)
-        code, _, _ = run(capsys, "poly", "--n", "2", "--m", "2")
-        assert code == 0
-        assert target.exists()
-
-    def test_flag_overrides_environment(self, capsys, tmp_path, monkeypatch):
-        env_target = tmp_path / "env-cache.json"
-        flag_target = tmp_path / "flag-cache.json"
-        monkeypatch.setenv("NARAYANA_CACHE", str(env_target))
-        code, _, _ = run(
-            capsys, "poly", "--n", "2", "--m", "2", "--cache", str(flag_target)
-        )
-        assert code == 0
-        assert flag_target.exists()
-        assert not env_target.exists()
+@pytest.mark.parametrize("setting", CACHE_SETTINGS.values(), ids=CACHE_SETTINGS.keys())
+def test_poly_ignores_cache_settings_and_writes_no_file(capsys, tmp_path, monkeypatch, setting):
+    flags, environment, config = setting
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NARAYANA_CACHE", raising=False)
+    for key, value in environment.items():
+        monkeypatch.setenv(key, value)
+    prefix = []
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        prefix = ["--config", "config.json"]
+    for fmt, expected in POLY_4_2.items():
+        argv = [*prefix, "poly", "--n", "4", "--m", "2", "--format", fmt, *flags]
+        assert run(capsys, *argv) == (0, expected, ""), fmt
+        assert os.listdir(tmp_path) == ([] if config is None else ["config.json"]), fmt
 
 
 # sha256 of the stdout of ``enumerate``; the two --limit runs end just at
@@ -660,16 +629,6 @@ class TestConfigAndUsage:
         assert code == 0
         assert out.strip() == "1"
 
-    def test_config_cache_path(self, capsys, tmp_path):
-        cache = tmp_path / "from-config.json"
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"cache": str(cache)}))
-        code, _, _ = run(
-            capsys, "--config", str(config), "poly", "--n", "2", "--m", "2"
-        )
-        assert code == 0
-        assert cache.exists()
-
     def test_unreadable_config_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["--config", str(tmp_path / "nope.json"), "poly", "--n", "1", "--m", "1"])
@@ -686,7 +645,6 @@ class TestConfigAndUsage:
             ('{"jobs": "two"}', VERIFY),
             ('{"format": "xml"}', POLY),
             ('{"format": "csv"}', ["analyze", "--coeffs", "1,1"]),
-            ('{"cache": 5}', POLY),
         ],
     )
     def test_bad_config_is_a_usage_error(self, capsys, tmp_path, config, argv):
@@ -701,7 +659,8 @@ class TestConfigAndUsage:
 
 
 # each sequence runs in one process through the shared parser; every step is
-# then run again in a fresh process: argv, and the environment it adds
+# then run again in a fresh process: argv, and the environment it adds.
+# Neither process writes a file.
 SEQUENCES = {
     "usage error, then a valid request": [
         (["poly", "--n", "-1", "--m", "2"], {}),
@@ -723,11 +682,6 @@ SEQUENCES = {
 CONFIG = {"format": "csv", "cache": "from-config.json"}
 # the directory the package is imported from, for the fresh processes
 SOURCE = str(Path(narayana.__file__).parents[1])
-
-
-def _listing(directory: Path) -> dict:
-    """Each file of the directory with the keys of the JSON object it holds."""
-    return {path.name: sorted(json.loads(path.read_text())) for path in directory.iterdir()}
 
 
 def _fresh(argv: list[str], extra: dict, cwd: Path) -> tuple[int, str, str]:
@@ -761,7 +715,7 @@ class TestSharedParser:
                 code = exc.code
             out, err = capsys.readouterr()
             assert (code, out, err) == _fresh(argv, extra, fresh), argv
-            assert _listing(shared) == _listing(fresh), argv
+            assert os.listdir(shared) == os.listdir(fresh) == ["config.json"], argv
 
 
 def test_commands_are_looked_up_when_called(capsys, monkeypatch):

@@ -224,8 +224,11 @@ class TestStandardTableau:
     def test_row_of(self):
         tableau = StandardTableau(((1, 2), (3, 4)))
         assert tableau.row_of(3) == 2
-        with pytest.raises(ValueError):
-            tableau.row_of(9)
+
+    @pytest.mark.parametrize("entry", [9, 0, True, 1.0, "1"])
+    def test_row_of_refuses_what_is_not_an_entry(self, entry):
+        with pytest.raises(ValueError, match="not in the tableau"):
+            StandardTableau(((1, 2), (3, 4))).row_of(entry)
 
     def test_shape_and_str(self):
         tableau = StandardTableau(((1, 2), (3, 4)))

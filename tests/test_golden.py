@@ -1,8 +1,10 @@
 """Golden transcript of the command line: exit code and exact stdout.
 
 Each case runs ``narayana.cli.main`` in-process and compares the result with
-the stored transcript in ``tests/golden_cli.json``, byte for byte. Every case
-that could touch a cache passes ``--no-cache``, so no files are written.
+the stored transcript in ``tests/golden_cli.json``, byte for byte. No command
+writes a file; the ``--no-cache`` that the ``poly`` and ``verify`` cases pass
+is accepted and ignored, and stays because each case's argv keys the
+transcript.
 
 Regenerate the transcript (only when a change of output is intended) with:
 
