@@ -43,6 +43,7 @@ from .posets import (
     LabeledPoset,
     antichain_poset,
     column_strict_ferrers_poset,
+    ferrers_eulerian_sweep,
     verify_ferrers_eulerian_identity,
     verify_order_gf,
 )
@@ -54,9 +55,9 @@ EXIT_BUDGET = 3
 
 # suite: default ceiling; every sweep stops at the cell cap DEFAULT_MAX_CELLS
 # and enumerates nothing (theorem21: word DP vs closed form, sulanke: word DP
-# vs tableau DP, eq33: tableau DP vs closed form, ordergf: strict ideal
-# chains vs the Eulerian numerator; each engine is bounded by its own budget
-# in the library)
+# vs tableau DP, eq33: tableau DP vs closed form, with one DP for the whole
+# sweep, ordergf: strict ideal chains vs the Eulerian numerator; each engine
+# is bounded by its own budget in the library)
 SUITES = {"theorem21": 16, "sulanke": 16, "eq33": 10, "ordergf": 7}
 
 FORMAT_CHOICES = {"poly": ("plain", "json", "csv"), "analyze": ("plain", "json")}
@@ -299,7 +300,9 @@ def _cases(suite: str, cells: int, poset: LabeledPoset | None) -> list[tuple]:
         return [(f"poset p={poset.size}", verify_order_gf, (poset,))]
     shapes = [shape for total in range(1, cells + 1) for shape in enumerate_partitions(total)]
     if suite == "eq33":
-        return [(f"shape={shape}", verify_ferrers_eulerian_identity, (shape,)) for shape in shapes]
+        eulerian = dict(ferrers_eulerian_sweep(cells))
+        return [(f"shape={shape}", verify_ferrers_eulerian_identity, (shape, None, eulerian[shape]))
+                for shape in shapes]
     cases = [(f"shape={shape}", verify_order_gf, (column_strict_ferrers_poset(shape),))
              for shape in shapes]
     return cases + [("antichain p=3", verify_order_gf, (antichain_poset(3),))]

@@ -11,6 +11,9 @@ Each engine has one fixed budget, a constant here. Eulerian polynomials
 come from one dynamic program over the order ideals, bounded by their number
 (DEFAULT_MAX_IDEALS); it is the package's only descent DP, and ``generating``
 runs it on labeled Ferrers posets for the tableau and word tallies.
+``ferrers_eulerian_sweep`` runs it once for every shape of at most N cells:
+N layers on the column-strict Ferrers poset of the union of those shapes,
+whose ideals are the shapes.
 ``linear_extensions`` and ``jordan_holder_set`` remain as the enumerators it
 is tested against, up to DEFAULT_MAX_EXTENSION_ELEMENTS elements. Order
 polynomial values come from the Eulerian series at every size;
@@ -27,6 +30,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import comb, factorial
 from typing import Iterator, Sequence
 
@@ -284,29 +288,47 @@ def eulerian_polynomial(poset: LabeledPoset) -> IntPolynomial:
     For an antichain this is the classical Eulerian polynomial of the
     symmetric group, whatever the labeling.
 
-    Computed without listing the extensions, by one pass over the order
-    ideals, smallest first. The state (I, x) holds the descent polynomial of
-    the extensions of the ideal I that end in x; placing y after x shifts it
-    by one when the label of x exceeds the label of y. A state (I + y, y) has
-    the one predecessor ideal I, so each is written once. More than
-    DEFAULT_MAX_IDEALS ideals raises ``BudgetExceededError`` while the layer
-    that passes the cap is being built.
+    Computed without listing the extensions, by the ideal DP of
+    ``_eulerian_layers`` run to the whole poset; more than DEFAULT_MAX_IDEALS
+    ideals raise ``BudgetExceededError``.
     """
     p = poset.size
+    for layer in _eulerian_layers(poset, p):
+        pass
+    # a permutation of p labels has fewer than max(1, p) descents
+    (ends,) = layer.values()
+    return _unpacked(sum(ends.values()), factorial(p).bit_length(), max(1, p))
+
+
+def _eulerian_layers(poset: LabeledPoset, size: int) -> Iterator[dict[int, dict[int, int]]]:
+    """For m = 0..size, the states of every order ideal of m elements, keyed
+    by its bitmask; the Eulerian polynomial of an ideal is the sum of its
+    states, each packed in one int with factorial(size).bit_length() bits
+    per coefficient.
+
+    One pass over the order ideals, smallest first. The state (I, x) holds
+    the descent polynomial of the extensions of the ideal I that end in x;
+    placing y after x shifts it by one when the label of x exceeds the label
+    of y. A state (I + y, y) has the one predecessor ideal I, so each is
+    written once. More than DEFAULT_MAX_IDEALS ideals raises
+    ``BudgetExceededError`` while the layer that passes the cap is being
+    built; the layers past ``size`` are never built.
+    """
     below = poset._below
     labels = poset.labels
     # largest label first: a running sum over the placed elements met so far
     # then holds exactly the states whose last label exceeds the next one's
-    descending = sorted(range(1, p + 1), key=lambda e: -labels[e - 1])
-    # each polynomial is one int with `width` bits per coefficient: an ideal
-    # has at most p! extensions, so sums, differences of a sum and a part of
-    # it, and shifts never carry between slots
-    width = factorial(p).bit_length()
+    descending = sorted(range(1, poset.size + 1), key=lambda e: -labels[e - 1])
+    # an ideal of at most `size` elements has at most size! extensions, so
+    # sums, differences of a sum and a part of it, and shifts never carry
+    # between slots
+    width = factorial(size).bit_length()
     # the empty ideal's one state ends in the placeholder 0, which has no
     # label and so is never counted in a running sum
     layer: dict[int, dict[int, int]] = {0: {0: 1}}
     ideals = 1
-    for _ in range(p):
+    yield layer
+    for _ in range(size):
         following: dict[int, dict[int, int]] = {}
         for ideal, ends in layer.items():
             total = sum(ends.values())
@@ -329,11 +351,42 @@ def eulerian_polynomial(poset: LabeledPoset) -> IntPolynomial:
                     following[grown] = {}
                 following[grown][y] = total - greater + (greater << width)
         layer = following
-    # a permutation of p labels has fewer than max(1, p) descents
-    (ends,) = layer.values()
-    packed = sum(ends.values())
+        yield layer
+
+
+def _unpacked(packed: int, width: int, terms: int) -> IntPolynomial:
     mask = (1 << width) - 1
-    return IntPolynomial([packed >> (width * i) & mask for i in range(max(1, p))])
+    return IntPolynomial([packed >> (width * i) & mask for i in range(terms)])
+
+
+def ferrers_eulerian_sweep(cells: int) -> Iterator[tuple[Partition, IntPolynomial]]:
+    """Every shape of 1..cells cells, once each, with the Eulerian polynomial
+    of its column-strict labeled Ferrers poset, all from one ideal DP.
+
+    The DP runs for ``cells`` layers on the union shape
+    U = (cells, cells // 2, ..., cells // cells). Row i of a shape of k <= cells
+    cells has at most k / i cells, so the shape fits in U, and the ideals of U
+    with k elements are exactly the shapes of k cells. U's canonical labels
+    order its cells by row descending, then column ascending, as each
+    shape's own labels order its cells, so each ideal's polynomial is its
+    shape's.
+    """
+    parts = tuple(cells // i for i in range(1, cells + 1))
+    # element ids are row-major (see _ferrers_covers): row i of U holds U_i
+    # bits of an ideal's mask, from bit 1 + U_1 + ... + U_(i-1) up
+    rows = [(start, (1 << part) - 1) for start, part in zip(accumulate(parts, initial=1), parts)]
+    width = factorial(cells).bit_length()
+    layers = _eulerian_layers(column_strict_ferrers_poset(Partition(parts)), cells)
+    next(layers)  # the empty ideal
+    for size, layer in enumerate(layers, start=1):
+        for ideal, ends in layer.items():
+            yield _ideal_shape(ideal, rows), _unpacked(sum(ends.values()), width, size)
+
+
+def _ideal_shape(ideal: int, rows: Sequence[tuple[int, int]]) -> Partition:
+    """The shape of an order ideal of a Ferrers poset: its cells per row."""
+    lengths = ((ideal >> shift & mask).bit_count() for shift, mask in rows)
+    return Partition(tuple(length for length in lengths if length))
 
 
 def _series_value(w: IntPolynomial, p: int, n: int) -> int:
@@ -471,14 +524,20 @@ def verify_order_gf(poset: LabeledPoset) -> IdentityReport:
 
 
 def verify_ferrers_eulerian_identity(
-    shape: Partition, labeling: Sequence[Sequence[int]] | None = None
+    shape: Partition,
+    labeling: Sequence[Sequence[int]] | None = None,
+    eulerian: IntPolynomial | None = None,
 ) -> IdentityReport:
     """Check that the Eulerian polynomial of the column-strict labeled
     Ferrers poset equals the tableau descent polynomial of the shape.
 
-    The left side is the order-ideal DP of ``eulerian_polynomial``; the right
-    side is the closed form of EC2 Prop. 7.19.12 with the hook-content
-    formula, so neither enumerates and the two are independent."""
-    left = eulerian_polynomial(column_strict_ferrers_poset(shape, labeling)).coefficients
+    The left side is the order-ideal DP: ``eulerian`` when given (the
+    ``eq33`` suite reads it off ``ferrers_eulerian_sweep``), else
+    ``eulerian_polynomial`` of the labeled poset. The right side is the
+    closed form of EC2 Prop. 7.19.12 with the hook-content formula, so
+    neither enumerates and the two are independent."""
+    if eulerian is None:
+        eulerian = eulerian_polynomial(column_strict_ferrers_poset(shape, labeling))
+    left = eulerian.coefficients
     right = IntPolynomial(_descent_closed_form(shape)).coefficients
     return compare_sequences(f"ferrers eulerian identity shape={shape}", left, right)

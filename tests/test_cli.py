@@ -378,9 +378,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         [("--suite", "eq33", "--max-cells", "5"),
+         ("--suite", "eq33", "--max-cells", "8"),
          ("--suite", "all", "--max-cells", "6"),
          ("--suite", "ordergf", "--poset", "{poset}")],
-        ids=["eq33", "all", "ordergf-poset"],
+        ids=["eq33", "eq33-8", "all", "ordergf-poset"],
     )
     def test_parallel_jobs_match_serial(self, capsys, tmp_path, argv):
         poset = tmp_path / "poset.json"
@@ -485,6 +486,20 @@ class TestVerify:
 
     def test_oversized_poset_file_stops_all_suites_before_any_runs(self, capsys, tmp_path):
         self._refused_in_time(capsys, tmp_path, "--suite", "all")
+
+    def test_eq33_checks_every_w_read_off_the_sweep(self, capsys, monkeypatch):
+        # a read-off that names each ideal by its conjugate shape hands every
+        # case the W of the conjugate, which the closed form must refuse
+        read_off = posets._ideal_shape
+        monkeypatch.setattr(posets, "_ideal_shape", lambda *args: read_off(*args).conjugate())
+        code, out, _ = run(capsys, "verify", "--suite", "eq33", "--max-cells", "6")
+        assert code == 1
+        lines = out.splitlines()
+        # only the 5 self-conjugate shapes of at most 6 cells pass
+        assert sum(": FAIL (" in line for line in lines) == 24
+        assert "eq33 shape=2,2: PASS" in lines
+        assert "suite eq33: 5/29 passed" in lines
+        assert lines[-1].startswith("first counterexample: eq33 shape=2: ")
 
     def test_eq33_sweeps_past_the_extension_cap(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "eq33", "--max-cells", "14")

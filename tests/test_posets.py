@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from narayana.bijections import perm_to_tableau
 from narayana.combinatorics import (
+    DEFAULT_MAX_CELLS,
     BudgetExceededError,
     Partition,
     enumerate_partitions,
@@ -27,6 +28,7 @@ from narayana.posets import (
     column_strict_labeling,
     eulerian_polynomial,
     ferrers_cells,
+    ferrers_eulerian_sweep,
     ferrers_poset,
     is_column_strict,
     jordan_holder_set,
@@ -296,6 +298,29 @@ class TestEulerianPolynomial:
         from narayana.combinatorics import enumerate_syt
 
         assert images == set(enumerate_syt(shape))
+
+
+class TestFerrersEulerianSweep:
+    def test_matches_the_dp_of_each_shape(self):
+        swept = dict(ferrers_eulerian_sweep(12))
+        shapes = [shape for total in range(1, 13) for shape in enumerate_partitions(total)]
+        assert len(swept) == len(shapes) == 271
+        for shape in shapes:
+            assert swept[shape] == eulerian_polynomial(column_strict_ferrers_poset(shape)), shape
+
+    @pytest.mark.parametrize("cells", range(1, 11))
+    def test_yields_every_shape_once(self, cells):
+        shapes = [shape for shape, _ in ferrers_eulerian_sweep(cells)]
+        expected = [shape for total in range(1, cells + 1) for shape in enumerate_partitions(total)]
+        assert sorted(shapes, key=lambda shape: shape.parts) == sorted(
+            expected, key=lambda shape: shape.parts
+        )
+        assert Partition((cells,)) in shapes
+        assert Partition((1,) * cells) in shapes
+
+    def test_reaches_the_cell_cap_within_the_ideal_cap(self):
+        assert sum(1 for _ in ferrers_eulerian_sweep(DEFAULT_MAX_CELLS)) == 4507
+        assert list(ferrers_eulerian_sweep(0)) == []
 
 
 @st.composite
