@@ -44,6 +44,7 @@ from .posets import (
     antichain_poset,
     column_strict_ferrers_poset,
     ferrers_eulerian_sweep,
+    rectangle_eulerian_sweep,
     verify_ferrers_eulerian_identity,
     verify_order_gf,
 )
@@ -55,9 +56,9 @@ EXIT_BUDGET = 3
 
 # suite: default ceiling; every sweep stops at the cell cap DEFAULT_MAX_CELLS
 # and enumerates nothing (theorem21: word DP vs closed form, sulanke: word DP
-# vs tableau DP, eq33: tableau DP vs closed form, with one DP for the whole
-# sweep, ordergf: strict ideal chains vs the Eulerian numerator; each engine
-# is bounded by its own budget in the library)
+# vs tableau DP, each DP run once per row count, eq33: tableau DP vs closed
+# form, with one DP for the whole sweep, ordergf: strict ideal chains vs the
+# Eulerian numerator; each engine is bounded by its own budget in the library)
 SUITES = {"theorem21": 16, "sulanke": 16, "eq33": 10, "ordergf": 7}
 
 FORMAT_CHOICES = {"poly": ("plain", "json", "csv"), "analyze": ("plain", "json")}
@@ -293,8 +294,13 @@ def _cases(suite: str, cells: int, poset: LabeledPoset | None) -> list[tuple]:
     """The suite's (label, check, arguments) triples, in output order. Each
     check is a module-level library function, so a case pickles by reference."""
     if suite in ("theorem21", "sulanke"):
-        check = verify_tableau_identity if suite == "theorem21" else verify_sulanke_equidistribution
-        return [(f"n={n} m={m}", check, (n, m))
+        # the word DP's polynomials, and for sulanke the tableau DP's, of
+        # every rectangle, from one DP per row count
+        check, sweeps = verify_tableau_identity, [dict(rectangle_eulerian_sweep(cells))]
+        if suite == "sulanke":
+            check = verify_sulanke_equidistribution
+            sweeps.append(dict(rectangle_eulerian_sweep(cells, column_strict=True)))
+        return [(f"n={n} m={m}", check, (n, m, *(sweep[Partition.rectangle(n, m)] for sweep in sweeps)))
                 for n in range(1, cells + 1) for m in range(1, cells // n + 1)]
     if suite == "ordergf" and poset is not None:
         return [(f"poset p={poset.size}", verify_order_gf, (poset,))]

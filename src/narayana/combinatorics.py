@@ -698,7 +698,7 @@ def _conjugate(parts: Sequence[int]) -> list[int]:
 
 def _hooks(shape: Partition) -> list[int]:
     """Hook length of every cell of the shape, row by row."""
-    conjugate = shape.conjugate().parts
+    conjugate = _conjugate(shape.parts)
     return [
         row_length - j + conjugate[j] - i - 1
         for i, row_length in enumerate(shape.parts)

@@ -10,10 +10,15 @@ are the family of main interest.
 Each engine has one fixed budget, a constant here. Eulerian polynomials
 come from one dynamic program over the order ideals, bounded by their number
 (DEFAULT_MAX_IDEALS); it is the package's only descent DP, and ``generating``
-runs it on labeled Ferrers posets for the tableau and word tallies.
+runs it on labeled Ferrers posets for the tableau and word tallies. Each
+ideal visits only its frontier (its maximal and addable elements), kept
+along the listed covers; an element joins the frontier once its strict
+lower set, read off the transitive closure, is placed.
 ``ferrers_eulerian_sweep`` runs it once for every shape of at most N cells:
 N layers on the column-strict Ferrers poset of the union of those shapes,
-whose ideals are the shapes.
+whose ideals are the shapes; ``rectangle_eulerian_sweep`` runs it once per
+row count m, on the m-row rectangle of at most N cells, whose ideals of
+full columns are the narrower rectangles.
 ``linear_extensions`` and ``jordan_holder_set`` remain as the enumerators it
 is tested against, up to DEFAULT_MAX_EXTENSION_ELEMENTS elements. Order
 polynomial values come from the Eulerian series at every size;
@@ -313,44 +318,83 @@ def _eulerian_layers(poset: LabeledPoset, size: int) -> Iterator[dict[int, dict[
     written once. More than DEFAULT_MAX_IDEALS ideals raises
     ``BudgetExceededError`` while the layer that passes the cap is being
     built; the layers past ``size`` are never built.
+
+    Each ideal visits only its frontier: its maximal elements, in which its
+    extensions end, and its addable ones. A frontier is a mask with one bit
+    per element in descending-label rank (bit 0 for the largest label), and
+    the states of an ideal are keyed by these rank bits. Placing y drops the
+    listed lower covers of y from the frontier (y stays, now maximal) and
+    adds each listed upper cover z of y whose strictly smaller elements
+    (``_below``) all lie in the grown ideal: only an element covering y can
+    become addable, and every Hasse cover is among the listed covers.
     """
     below = poset._below
-    labels = poset.labels
-    # largest label first: a running sum over the placed elements met so far
-    # then holds exactly the states whose last label exceeds the next one's
-    descending = sorted(range(1, poset.size + 1), key=lambda e: -labels[e - 1])
+    p = poset.size
+    # labels are 1..p, so the element of label l has rank p - l
+    rank_bit = [0, *[1 << (p - label) for label in poset.labels]]
+    # by rank bit: the element's bit in an ideal, the frontier bits it
+    # removes when placed (its listed lower covers), and its listed upper
+    # covers, each with the elements below it
+    by_rank = {rank_bit[e]: [1 << e, 0, []] for e in range(1, p + 1)}
+    for a, b in poset.covers:
+        by_rank[rank_bit[b]][1] |= rank_bit[a]
+        by_rank[rank_bit[a]][2].append((below[b], rank_bit[b]))
     # an ideal of at most `size` elements has at most size! extensions, so
     # sums, differences of a sum and a part of it, and shifts never carry
     # between slots
     width = factorial(size).bit_length()
-    # the empty ideal's one state ends in the placeholder 0, which has no
-    # label and so is never counted in a running sum
+    # the empty ideal's one state ends in the placeholder 0, which is no
+    # rank bit; its frontier is the elements without a listed lower cover,
+    # the minimal ones
     layer: dict[int, dict[int, int]] = {0: {0: 1}}
+    frontiers = {0: sum([bit for bit, (_, lower, _) in by_rank.items() if not lower])}
     ideals = 1
     yield layer
     for _ in range(size):
         following: dict[int, dict[int, int]] = {}
+        following_frontiers: dict[int, int] = {}
+        # each distinct frontier of the layer has its bits listed once, in
+        # rank order: the many ideals of a wide poset share few frontiers
+        walks: dict[int, list[int]] = {}
         for ideal, ends in layer.items():
             total = sum(ends.values())
+            frontier = frontiers[ideal]
+            walk = walks.get(frontier)
+            if walk is None:
+                walk = walks[frontier] = []
+                rest = frontier
+                while rest:
+                    bit = rest & -rest
+                    walk.append(bit)
+                    rest ^= bit
+            # largest label first: the running sum over the maximal elements
+            # met so far holds exactly the states whose last label exceeds
+            # that of the next addable element
             greater = 0
-            for y in descending:
-                bit = 1 << y
-                if ideal & bit:
-                    greater += ends.get(y, 0)
+            for bit in walk:
+                value = ends.get(bit)
+                if value is not None:
+                    greater += value
                     continue
-                if below[y] & ~ideal:
-                    continue
-                grown = ideal | bit
-                if grown not in following:
+                element, lower_covers, upper_covers = by_rank[bit]
+                grown = ideal | element
+                grown_ends = following.get(grown)
+                if grown_ends is None:
                     ideals += 1
                     if ideals > DEFAULT_MAX_IDEALS:
                         raise BudgetExceededError(
                             f"poset has more than {DEFAULT_MAX_IDEALS} order ideals, "
                             f"the ideal cap"
                         )
-                    following[grown] = {}
-                following[grown][y] = total - greater + (greater << width)
+                    grown_frontier = frontier & ~lower_covers
+                    for cover_below, cover in upper_covers:
+                        if not cover_below & ~grown:
+                            grown_frontier |= cover
+                    following_frontiers[grown] = grown_frontier
+                    grown_ends = following[grown] = {}
+                grown_ends[bit] = total - greater + (greater << width)
         layer = following
+        frontiers = following_frontiers
         yield layer
 
 
@@ -381,6 +425,34 @@ def ferrers_eulerian_sweep(cells: int) -> Iterator[tuple[Partition, IntPolynomia
     for size, layer in enumerate(layers, start=1):
         for ideal, ends in layer.items():
             yield _ideal_shape(ideal, rows), _unpacked(sum(ends.values()), width, size)
+
+
+def rectangle_eulerian_sweep(
+    cells: int, column_strict: bool = False
+) -> Iterator[tuple[Partition, IntPolynomial]]:
+    """Every rectangle of 1..cells cells (m rows of length n), once each, with
+    the Eulerian polynomial of its Ferrers poset, naturally labeled (row-major
+    labels, see ``ferrers_poset``) or column-strict labeled: one ideal DP
+    per row count.
+
+    For m rows the DP runs on the rectangle R of m rows of length
+    cells // m, and the m-by-n rectangle is the ideal of R's first n
+    columns. R's natural labels order those cells row by row, and its
+    canonical column-strict labels bottom row first, each row left to
+    right, as the m-by-n rectangle's own labels do, so each ideal's
+    polynomial is its rectangle's.
+    """
+    for m in range(1, cells + 1):
+        longest = cells // m
+        whole = Partition.rectangle(longest, m)
+        poset = column_strict_ferrers_poset(whole) if column_strict else ferrers_poset(whole)
+        width = factorial(whole.cells).bit_length()
+        for size, layer in enumerate(_eulerian_layers(poset, whole.cells)):
+            n, rest = divmod(size, m)
+            if n and not rest:
+                # element ids are row-major: row i of R starts at bit 1 + i * longest
+                columns = sum(((1 << n) - 1) << (1 + i * longest) for i in range(m))
+                yield Partition.rectangle(n, m), _unpacked(sum(layer[columns].values()), width, size)
 
 
 def _ideal_shape(ideal: int, rows: Sequence[tuple[int, int]]) -> Partition:
@@ -420,7 +492,10 @@ def _ideal_chain_counts(poset: LabeledPoset) -> tuple[int, ...]:
 
     Ideals and steps come from the listed covers, the labels and the
     topological order alone, not from the transitive closure or the ideal
-    DP of ``eulerian_polynomial``, so the two engines stay independent. One
+    DP of ``eulerian_polynomial``, so the two engines stay independent: the
+    DP reads the listed covers only to grow its frontiers, admits an
+    element by the transitive closure (``_below``), and shares no code with
+    this pass. One
     pass over the ideals by size adds each one's chain polynomial, shifted
     one slot up, into each of its strict targets.
 
@@ -508,8 +583,9 @@ def verify_order_gf(poset: LabeledPoset) -> IdentityReport:
     Both sides are the numerator of sum_n Omega(P, n) x^n over (1-x)^(p+1),
     so every coefficient of W is compared; for p = 0 the left side is W
     itself, since Omega(P, 0) = 1 there. The chains read only the listed
-    covers, the labels and the topological order; W comes from the ideal DP
-    over the transitive closure. The chains are counted first, so a poset
+    covers, the labels and the topological order; W comes from the ideal DP,
+    which admits each element by the transitive closure and reads the listed
+    covers only to find the candidates. The chains are counted first, so a poset
     past their budget is refused before the DP runs on it.
     """
     p = poset.size

@@ -13,7 +13,9 @@ import pytest
 import narayana
 from narayana import cli, posets
 from narayana.cli import ENUMERATE_BLOCK, SUITES, main
+from narayana.combinatorics import Partition
 from narayana.generating import IdentityReport
+from narayana.polynomials import IntPolynomial
 from narayana.posets import LabeledPoset, antichain_poset, chain_poset
 
 
@@ -379,9 +381,11 @@ class TestVerify:
         "argv",
         [("--suite", "eq33", "--max-cells", "5"),
          ("--suite", "eq33", "--max-cells", "8"),
+         ("--suite", "theorem21", "--max-cells", "12"),
+         ("--suite", "sulanke", "--max-cells", "12"),
          ("--suite", "all", "--max-cells", "6"),
          ("--suite", "ordergf", "--poset", "{poset}")],
-        ids=["eq33", "eq33-8", "all", "ordergf-poset"],
+        ids=["eq33", "eq33-8", "theorem21-12", "sulanke-12", "all", "ordergf-poset"],
     )
     def test_parallel_jobs_match_serial(self, capsys, tmp_path, argv):
         poset = tmp_path / "poset.json"
@@ -394,7 +398,7 @@ class TestVerify:
         assert (serial, serial_err) == (parallel, parallel_err)
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
-        def failing(n, m):
+        def failing(n, m, words):
             return IdentityReport(False, f"fake n={n} m={m}", (1, 2), (1, 3), 1)
 
         monkeypatch.setattr("narayana.cli.verify_tableau_identity", failing)
@@ -500,6 +504,34 @@ class TestVerify:
         assert "eq33 shape=2,2: PASS" in lines
         assert "suite eq33: 5/29 passed" in lines
         assert lines[-1].startswith("first counterexample: eq33 shape=2: ")
+
+    @pytest.mark.parametrize(
+        "suite, misread",
+        [("theorem21", lambda n, m: (n - 1, m)),
+         ("sulanke", lambda n, m: (n - 1, m)),
+         ("sulanke", lambda n, m: (m, n))],
+        ids=["theorem21-narrower", "sulanke-narrower", "sulanke-transposed"],
+    )
+    def test_word_suites_check_every_w_read_off_the_sweep(self, capsys, monkeypatch, suite, misread):
+        # a read-off that hands the m-by-n case the W of the m-by-(n - 1)
+        # rectangle, or of the n-by-m one, is refused by the other side. The
+        # n-by-m rectangle's W is no fault for theorem21: W is the same for
+        # every natural labeling, and the transposed row-major labels are one
+        # (sulanke's column-strict side tells the two apart)
+        sweep = posets.rectangle_eulerian_sweep
+
+        def misread_sweep(cells, column_strict=False):
+            swept = {Partition(()): IntPolynomial([1]), **dict(sweep(cells, column_strict))}
+            for shape in [shape for shape in swept if shape.cells]:
+                yield shape, swept[Partition.rectangle(*misread(shape.parts[0], shape.rows))]
+
+        monkeypatch.setattr(cli, "rectangle_eulerian_sweep", misread_sweep)
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--max-cells", "8")
+        assert code == 1
+        lines = out.splitlines()
+        assert any(line.startswith(f"{suite} n=") and ": FAIL (" in line for line in lines)
+        assert f"suite {suite}: 20/20 passed" not in lines
+        assert lines[-1].startswith(f"first counterexample: {suite} n=")
 
     def test_eq33_sweeps_past_the_extension_cap(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "eq33", "--max-cells", "14")

@@ -34,6 +34,7 @@ from narayana.posets import (
     jordan_holder_set,
     linear_extensions,
     order_polynomial_value,
+    rectangle_eulerian_sweep,
     verify_ferrers_eulerian_identity,
     verify_order_gf,
     _ideal_chain_counts,
@@ -323,6 +324,29 @@ class TestFerrersEulerianSweep:
         assert list(ferrers_eulerian_sweep(0)) == []
 
 
+class TestRectangleEulerianSweep:
+    @pytest.mark.parametrize("cells", range(1, 17))
+    @pytest.mark.parametrize(
+        "column_strict, build", [(False, ferrers_poset), (True, column_strict_ferrers_poset)],
+        ids=["natural", "column-strict"],
+    )
+    def test_yields_each_rectangle_once_with_its_own_w(self, cells, column_strict, build):
+        swept = list(rectangle_eulerian_sweep(cells, column_strict))
+        expected = {
+            Partition.rectangle(n, m)
+            for n in range(1, cells + 1)
+            for m in range(1, cells // n + 1)
+        }
+        assert len(swept) == len(expected) and {shape for shape, _ in swept} == expected
+        for shape, w in swept:
+            assert w == eulerian_polynomial(build(shape)), shape
+
+    def test_reaches_the_cell_cap_within_the_ideal_cap(self):
+        for column_strict in (False, True):
+            assert sum(1 for _ in rectangle_eulerian_sweep(DEFAULT_MAX_CELLS, column_strict)) == 74
+        assert list(rectangle_eulerian_sweep(0)) == []
+
+
 @st.composite
 def labeled_posets(draw, max_size=8):
     """Random covers a < b on element ids (so acyclic) with shuffled labels."""
@@ -354,6 +378,25 @@ class TestEulerianDP:
     @example(antichain_poset(0))
     def test_matches_the_extension_tally_on_random_posets(self, poset):
         assert eulerian_polynomial(poset) == _extension_tally(poset)
+
+    def test_matches_the_extension_tally_on_scrambled_posets(self):
+        # ids out of topological order and implied covers listed: the
+        # frontier is grown from the listed covers and must still find every
+        # addable element exactly when its lower set is placed
+        for poset in _scrambled_posets(320):
+            assert eulerian_polynomial(poset) == _extension_tally(poset), poset.canonical_key()
+
+    def test_chains_natural_reversed_and_shuffled(self):
+        # a chain has one extension, so W is t^d for the d descents of its
+        # labels read up the chain
+        assert eulerian_polynomial(chain_poset(2000)) == IntPolynomial([1])
+        assert eulerian_polynomial(chain_poset(600, range(600, 0, -1))) == IntPolynomial(
+            [0] * 599 + [1]
+        )
+        labels = list(range(1, 601))
+        random.Random(1).shuffle(labels)
+        assert sum(map(gt, labels, labels[1:])) == 301
+        assert eulerian_polynomial(chain_poset(600, labels)) == IntPolynomial([0] * 301 + [1])
 
     def test_ideal_budget_fails_at_once(self):
         start = time.perf_counter()
