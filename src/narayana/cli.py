@@ -2,7 +2,8 @@
 
 Subcommands: ``poly`` (compute one polynomial with analysis flags),
 ``enumerate`` (stream words, tableaux, or paths, one per line, written in
-blocks of ``ENUMERATE_BLOCK`` lines), ``verify`` (exhaustive
+blocks of ``ENUMERATE_BLOCK`` lines, each checked (prefix, table) block of
+the generator formatted by one %-format), ``verify`` (exhaustive
 identity sweeps), and ``analyze`` (coefficient diagnostics for arbitrary
 input). Every command is deterministic.
 
@@ -21,7 +22,6 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from itertools import islice
 
 from . import __version__
 from .combinatorics import (
@@ -29,7 +29,7 @@ from .combinatorics import (
     BudgetExceededError,
     Partition,
     _check_budget,
-    enumerate_lines,
+    _line_blocks,
     enumerate_partitions,
 )
 from .generating import (
@@ -283,11 +283,46 @@ def cmd_enumerate(args) -> int:
         else:
             return _usage_error("--kind syt needs --shape or both --n and --m")
         quotas = shape.parts
-    lines = islice(enumerate_lines(args.kind, quotas, max_cells=args.max_cells), args.limit)
-    while block := list(islice(lines, ENUMERATE_BLOCK)):
-        block.append("")
-        sys.stdout.write("\n".join(block))
+    _write_lines(_line_blocks(args.kind, quotas, max_cells=args.max_cells), args.limit)
     return EXIT_OK
+
+
+def _write_lines(blocks, limit: int | None) -> None:
+    """Write the lines of the (head, templates) blocks of ``_line_blocks``,
+    all of them or the first ``limit``, in writes of ``ENUMERATE_BLOCK``
+    lines but the last. The lines of a block that go to one write are one
+    %-format: their templates joined, filled with the head once per line.
+    A whole table's join is made once, and the templates are sliced only
+    where a write or the limit ends inside a table. No block is taken after
+    the one that holds the last line."""
+    # id of a whole table -> (the table, which keeps the id live, its join)
+    whole: dict[int, tuple[list[str], str]] = {}
+    pieces: list[str] = []  # the formatted lines of the next write
+    room = ENUMERATE_BLOCK
+    for head, templates in blocks:
+        size = len(templates) if limit is None else min(len(templates), limit)
+        start = 0
+        while start < size:
+            stop = min(size, start + room)
+            if stop - start < len(templates):
+                template = "\n".join(templates[start:stop]) + "\n"
+            elif id(templates) in whole:
+                template = whole[id(templates)][1]
+            else:
+                template = "\n".join(templates) + "\n"
+                whole[id(templates)] = templates, template
+            pieces.append(template % (head * (stop - start)))
+            room -= stop - start
+            start = stop
+            if not room:
+                sys.stdout.write("".join(pieces))
+                pieces, room = [], ENUMERATE_BLOCK
+        if limit is not None:
+            limit -= size
+            if not limit:
+                break
+    if pieces:
+        sys.stdout.write("".join(pieces))
 
 
 def _cases(suite: str, cells: int, poset: LabeledPoset | None) -> list[tuple]:

@@ -22,10 +22,14 @@ those counts. Every symbol of every enumerated word is checked, and
 ``_trusted`` builds the objects from the checked sequences without a second
 scan.
 
-``enumerate_lines`` yields the string forms of those objects and builds
-none of them: it formats each checked prefix once per block and each
-checked completion once, where its table is checked, so each line is one
-concatenation (a word or path) or one %-format (a tableau).
+``_line_blocks`` gives the string forms of those objects and builds none
+of them. It yields each checked block as (head, templates): the head is
+the prefix's string (a word or path) or row strings (a tableau), formatted
+once per block, and each template is a completion's line with one %s
+where each head string goes, made once, where its table is checked. A
+block's lines are then one %-format of its templates joined, filled with
+the head once per line: ``narayana enumerate`` writes them that way, and
+``enumerate_lines`` splits them into lines.
 """
 
 from __future__ import annotations
@@ -635,18 +639,21 @@ def enumerate_syt(
             )
 
 
-def enumerate_lines(
+def _line_blocks(
     kind: str, quotas: Sequence[int], max_cells: int | None = None
-) -> Iterator[str]:
-    """The string forms of the objects that the enumerator of the kind
-    yields, in its order, without building the objects: for ``"words"`` and
-    ``"paths"`` the quotas are (n,)*m, for ``"syt"`` the shape's parts.
+) -> Iterator[tuple[tuple[str, ...], list[str]]]:
+    """The checked blocks of the enumerator of the kind as (head, templates),
+    without building its objects: for ``"words"`` and ``"paths"`` the quotas
+    are (n,)*m, for ``"syt"`` the shape's parts. The lines of a block are
+    ``template % head`` for its templates in turn, in the enumerator's order.
 
-    Each checked prefix is formatted once for its block and each checked
-    completion once, at its check, so a line is one concatenation; a tableau
-    line is the prefix's format, one %s per row, filled with the completion's
-    row strings. A row string starts with a comma exactly when the prefix
-    reached that row, so it depends only on the counts that key the check."""
+    A template is made once per checked completion, at its check, and holds
+    one %s where the prefix goes: before the completion's string for a word
+    or path, whose head is the prefix's string, and before each of the
+    completion's row strings for a tableau, whose head is the prefix's row
+    strings. A completion's string starts with a comma exactly when the
+    comma form joins it to a nonempty prefix part, so it depends only on the
+    counts that key the check."""
     if kind not in ("words", "paths", "syt"):
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "syt":
@@ -661,27 +668,44 @@ def enumerate_lines(
     k = len(quotas)
     if kind == "syt":
 
-        def row_strings(rest: IntTuple, reached: IntTuple) -> tuple[str, ...]:
+        def rows_template(rest: IntTuple, reached: IntTuple) -> str:
             rows = _row_positions(rest, k, sum(reached) + 1)
-            return tuple(
-                "," + _comma_join(row) if count and row else _comma_join(row)
+            return ";".join([
+                ("%s," if count and row else "%s") + _comma_join(row)
                 for count, row in zip(reached, rows)
-            )
+            ])
 
-        for prefix, tails in _scanned_blocks(quotas, row_strings):
-            head = ";".join([_comma_join(row) + "%s" for row in _row_positions(prefix, k)])
-            yield from map(head.__mod__, tails)
+        for prefix, templates in _scanned_blocks(quotas, rows_template):
+            yield tuple(map(_comma_join, _row_positions(prefix, k))), templates
         return
     mirrored = kind == "paths"
 
-    def symbols_string(symbols: IntTuple, reached: IntTuple = ()) -> str:
-        text = _symbols_string(_relabel(symbols, k) if mirrored else symbols, k)
+    def symbols_string(symbols: IntTuple) -> str:
+        return _symbols_string(_relabel(symbols, k) if mirrored else symbols, k)
+
+    def symbols_template(rest: IntTuple, reached: IntTuple) -> str:
         # in the comma form, a completion joins a prefix with a comma when
         # both are nonempty; a prefix may be a whole word, or empty
-        return "," + text if k > 9 and symbols and any(reached) else text
+        return ("%s," if k > 9 and rest and any(reached) else "%s") + symbols_string(rest)
 
-    for prefix, tails in _scanned_blocks(quotas, symbols_string):
-        yield from map(symbols_string(prefix).__add__, tails)
+    for prefix, templates in _scanned_blocks(quotas, symbols_template):
+        yield (symbols_string(prefix),), templates
+
+
+def enumerate_lines(
+    kind: str, quotas: Sequence[int], max_cells: int | None = None
+) -> Iterator[str]:
+    """The string forms of the objects that the enumerator of the kind
+    yields, in its order, without building the objects: for ``"words"`` and
+    ``"paths"`` the quotas are (n,)*m, for ``"syt"`` the shape's parts.
+
+    The lines of each block of ``_line_blocks`` come from one %-format, as
+    ``narayana enumerate`` writes them: the templates joined by newlines and
+    filled with the head once per line, then split at the newlines, which
+    no line holds. A table is never empty, so each split gives just its
+    block's lines."""
+    for head, templates in _line_blocks(kind, quotas, max_cells):
+        yield from ("\n".join(templates) % (head * len(templates))).split("\n")
 
 
 def _conjugate(parts: Sequence[int]) -> list[int]:

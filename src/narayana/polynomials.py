@@ -171,7 +171,12 @@ class IntPolynomial:
 
 
 # Moduli of the gcd images, in the order they are tried: Mersenne primes.
-_GCD_MODULI = tuple(2**k - 1 for k in (127, 521, 1279, 2203, 4423))
+# 2^13 - 1 comes first: below 2^15 the product of two residues fits in one
+# digit of a CPython int, and an image of degree 0 proves coprimality modulo
+# any prime that divides neither leading coefficient. A lift from it is
+# accepted only by exact division, like any other, so the larger primes take
+# the gcds whose coefficients it cannot hold.
+_GCD_MODULI = tuple(2**k - 1 for k in (13, 127, 521, 1279, 2203, 4423))
 
 # Least degree at which is_real_rooted splits p into square-free factors and
 # counts their real roots by Descartes' rule instead of building the chain of

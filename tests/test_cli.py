@@ -11,9 +11,9 @@ from types import SimpleNamespace
 import pytest
 
 import narayana
-from narayana import cli, posets
+from narayana import cli, combinatorics, posets
 from narayana.cli import ENUMERATE_BLOCK, SUITES, main
-from narayana.combinatorics import Partition
+from narayana.combinatorics import Partition, _line_blocks
 from narayana.generating import IdentityReport
 from narayana.polynomials import IntPolynomial
 from narayana.posets import LabeledPoset, antichain_poset, chain_poset
@@ -169,6 +169,37 @@ ENUMERATE_DIGESTS = {
 }
 
 
+# requests of the block writer tests, with the (kind, quotas) of their blocks:
+# words in digit form, paths in comma form and a tableau shape that is not a
+# rectangle, each of more than two writes
+BLOCK_WRITER_REQUESTS = {
+    "--kind words --n 4 --m 4": ("words", (4,) * 4),
+    "--kind paths --n 2 --m 10": ("paths", (2,) * 10),
+    "--kind syt --shape 5,4,3,1": ("syt", (5, 4, 3, 1)),
+}
+
+
+def _writes(argv):
+    """The strings that ``enumerate`` with these arguments writes to stdout."""
+    writes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        assert main(["enumerate", *argv]) == 0
+    return writes
+
+
+def _a_cut_inside_a_table(kind, quotas, after):
+    """A line count of at least ``after`` that ends strictly inside a
+    completion table and not at a write boundary."""
+    done = 0
+    for _, templates in _line_blocks(kind, quotas):
+        cut = done + len(templates) // 2
+        if done >= after and len(templates) > 2 and cut % ENUMERATE_BLOCK:
+            return cut
+        done += len(templates)
+    raise AssertionError(f"no table of more than two lines after line {after}")
+
+
 class TestEnumerate:
     def test_words(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "words", "--n", "2", "--m", "2")
@@ -248,6 +279,44 @@ class TestEnumerate:
         assert main(["enumerate", *argv]) == 0
         assert [block.count("\n") for block in writes] == [ENUMERATE_BLOCK, ENUMERATE_BLOCK, 1]
         assert all(block.endswith("\n") for block in writes)
+
+    @pytest.mark.parametrize("where", ["first write", "inside a table", "write boundary", "second write boundary"])
+    @pytest.mark.parametrize("argv", BLOCK_WRITER_REQUESTS)
+    def test_a_limit_writes_the_first_lines_of_the_full_run(self, argv, where):
+        kind, quotas = BLOCK_WRITER_REQUESTS[argv]
+        limit = {
+            "first write": 100,
+            "inside a table": _a_cut_inside_a_table(kind, quotas, after=ENUMERATE_BLOCK + 1),
+            "write boundary": ENUMERATE_BLOCK,
+            "second write boundary": 2 * ENUMERATE_BLOCK,
+        }[where]
+        full = _writes(argv.split())
+        writes = _writes([*argv.split(), "--limit", str(limit)])
+        assert "".join(writes) == "".join("".join(full).splitlines(keepends=True)[:limit])
+        # every write but the last holds exactly ENUMERATE_BLOCK whole lines
+        for each in (full, writes):
+            counts = [block.count("\n") for block in each]
+            assert counts[:-1] == [ENUMERATE_BLOCK] * (len(counts) - 1)
+            assert 0 < counts[-1] <= ENUMERATE_BLOCK and all(block.endswith("\n") for block in each)
+        assert sum(counts) == limit
+
+    def test_limit_1_builds_only_the_tables_of_the_first_block(self, monkeypatch):
+        built = set()
+        completions = combinatorics._completions
+
+        def spy(counts, caps, tables):
+            table = completions(counts, caps, tables)
+            built.update(tables)
+            return table
+
+        monkeypatch.setattr(combinatorics, "_completions", spy)
+        for argv, (kind, quotas) in BLOCK_WRITER_REQUESTS.items():
+            built.clear()
+            next(_line_blocks(kind, quotas))
+            first = set(built)
+            built.clear()
+            assert len(_writes([*argv.split(), "--limit", "1"])) == 1
+            assert built == first and first, argv
 
 
 class TestVerify:

@@ -697,3 +697,51 @@ def test_a_wrong_image_is_never_accepted(image, monkeypatch):
     assert poly_gcd(_UNLUCKY, _UNLUCKY.derivative()) == P(1, 3)
     for poly in (_UNLUCKY * _eulerian(13), narayana_polynomial(5, 5) * narayana_polynomial(5, 5)):
         assert is_real_rooted(poly) == _plain_certificate(poly.coefficients)
+
+
+# (t - 1)(t - 8192) is square-free over Z, but modulo 8191 = 2^13 - 1, the
+# first gcd modulus, it is (t - 1)^2: the image t - 1 of gcd(p, p') lifts to
+# a divisor of p that does not divide p', and the next modulus decides
+_SQUARE_MOD_8191 = P(-1, 1) * P(-8192, 1)
+
+
+def _moduli_spy(monkeypatch):
+    """The moduli of the gcd images taken from here on, in order."""
+    seen = []
+    image = polynomials_module._gcd_image
+
+    def spy(a, b, modulus):
+        seen.append(modulus)
+        return image(a, b, modulus)
+
+    monkeypatch.setattr(polynomials_module, "_gcd_image", spy)
+    return seen
+
+
+def test_a_word_size_prime_is_tried_first_and_its_unlucky_image_is_refused(monkeypatch):
+    seen = _moduli_spy(monkeypatch)
+    assert square_free_part(_SQUARE_MOD_8191) == _SQUARE_MOD_8191
+    assert poly_gcd(_SQUARE_MOD_8191, _SQUARE_MOD_8191.derivative()) == P(1)
+    assert seen == [2**13 - 1, 2**127 - 1] * 2
+    # the image modulo 8191 proves coprimality where it has degree 0
+    seen.clear()
+    assert poly_gcd(P(1, 1), P(2, 1)) == P(1)
+    assert seen == [2**13 - 1]
+
+
+def test_a_degree_16_product_with_a_square_modulo_8191_keeps_its_split_certificate(monkeypatch):
+    for poly in (_SQUARE_MOD_8191 * _eulerian(16), _SQUARE_MOD_8191 * _eulerian(16) * P(1, 1, 1)):
+        assert poly.degree >= SQUARE_FREE_SPLIT_DEGREE
+        certificate = _takes_the_split(poly, monkeypatch)
+        assert certificate == _plain_certificate(poly.coefficients)
+        assert certificate.square_free_degree == poly.degree
+    assert is_real_rooted(_SQUARE_MOD_8191 * _eulerian(16)).real_rooted
+
+
+def test_a_leading_coefficient_divisible_by_8191_skips_that_prime(monkeypatch):
+    # (8191 t - 1)(t - 1): modulo 8191 the leading term vanishes
+    poly = P(-1, 8191) * P(-1, 1)
+    seen = _moduli_spy(monkeypatch)
+    assert poly_gcd(poly, poly.derivative()) == P(1)
+    assert poly_gcd(poly * P(-1, 1), (poly * P(-1, 1)).derivative()) == P(-1, 1)
+    assert seen and 2**13 - 1 not in seen
