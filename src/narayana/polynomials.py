@@ -468,7 +468,9 @@ def _positive_root_count(coefficients: Sequence[int], k: int) -> int:
             continue
         # drop the common power of 2 that the halving piles up
         low = reduce(or_, b)
-        b = [c >> ((low & -low).bit_length() - 1) for c in b]
+        shift = (low & -low).bit_length() - 1
+        if shift:
+            b = [c >> shift for c in b]
         left, right = _bernstein_halves(b)
         count += not right[0]
         pending += (left, right)

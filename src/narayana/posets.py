@@ -24,9 +24,12 @@ is tested against, up to DEFAULT_MAX_EXTENSION_ELEMENTS elements. Order
 polynomial values come from the Eulerian series at every size;
 ``verify_order_gf`` checks the whole Eulerian numerator against the strict
 chains of order ideals (Stanley EC1 3.12, labeled as in 3.15), counted in
-one pass from the listed covers and labels alone and bounded by the work it
-does (DEFAULT_MAX_CHAIN_WORK units of scanning, building and stepping). The
-tests compare both with a backtracking search over the maps.
+one layered pass over the ideals from the listed covers and labels alone
+and bounded by the work it does (DEFAULT_MAX_CHAIN_WORK units of scanning,
+building and stepping). ``ferrers_order_sweep`` runs that pass and the DP
+once each for every shape of at most N cells, on the same union shape, and
+reads each shape's chains and Eulerian polynomial off its ideal. The tests
+compare both with a backtracking search over the maps.
 """
 
 from __future__ import annotations
@@ -398,9 +401,13 @@ def _eulerian_layers(poset: LabeledPoset, size: int) -> Iterator[dict[int, dict[
         yield layer
 
 
-def _unpacked(packed: int, width: int, terms: int) -> IntPolynomial:
+def _slots(packed: int, width: int, terms: int) -> tuple[int, ...]:
     mask = (1 << width) - 1
-    return IntPolynomial([packed >> (width * i) & mask for i in range(terms)])
+    return tuple(packed >> (width * i) & mask for i in range(terms))
+
+
+def _unpacked(packed: int, width: int, terms: int) -> IntPolynomial:
+    return IntPolynomial(_slots(packed, width, terms))
 
 
 def ferrers_eulerian_sweep(cells: int) -> Iterator[tuple[Partition, IntPolynomial]]:
@@ -415,16 +422,50 @@ def ferrers_eulerian_sweep(cells: int) -> Iterator[tuple[Partition, IntPolynomia
     shape's own labels order its cells, so each ideal's polynomial is its
     shape's.
     """
-    parts = tuple(cells // i for i in range(1, cells + 1))
-    # element ids are row-major (see _ferrers_covers): row i of U holds U_i
-    # bits of an ideal's mask, from bit 1 + U_1 + ... + U_(i-1) up
-    rows = [(start, (1 << part) - 1) for start, part in zip(accumulate(parts, initial=1), parts)]
+    poset, rows = _union_poset(cells)
     width = factorial(cells).bit_length()
-    layers = _eulerian_layers(column_strict_ferrers_poset(Partition(parts)), cells)
+    layers = _eulerian_layers(poset, cells)
     next(layers)  # the empty ideal
     for size, layer in enumerate(layers, start=1):
         for ideal, ends in layer.items():
             yield _ideal_shape(ideal, rows), _unpacked(sum(ends.values()), width, size)
+
+
+def ferrers_order_sweep(
+    cells: int,
+) -> Iterator[tuple[Partition, IntPolynomial, tuple[int, ...]]]:
+    """Every shape of 1..cells cells, with the Eulerian polynomial W and the
+    strict chain counts s_k (see ``_ideal_chain_counts``) of its
+    column-strict labeled Ferrers poset: one chain pass and one ideal DP,
+    both on the union shape U of ``ferrers_eulerian_sweep``.
+
+    A shape's strict chains are the chains of U that end at its ideal: U's
+    listed covers among the shape's cells are the shape's own, and U's
+    labels order those cells as the shape's labels do, so the same covers
+    are inverted. The chains are counted first, so a sweep past the chain
+    budget is refused before the DP runs.
+    """
+    poset, rows = _union_poset(cells)
+    chain_layers = list(_ideal_chain_layers(poset, cells))
+    chain_width = (cells**cells).bit_length()
+    width = factorial(cells).bit_length()
+    layers = zip(_eulerian_layers(poset, cells), chain_layers)
+    next(layers)  # the empty ideal
+    for size, (layer, chains) in enumerate(layers, start=1):
+        for ideal, ends in layer.items():
+            yield (_ideal_shape(ideal, rows), _unpacked(sum(ends.values()), width, size),
+                   _slots(chains[ideal], chain_width, size + 1))
+
+
+def _union_poset(cells: int) -> tuple[LabeledPoset, list[tuple[int, int]]]:
+    """The column-strict Ferrers poset of U = (cells, cells // 2, ...,
+    cells // cells), with the (shift, mask) of each row's bits in an
+    ideal's mask."""
+    parts = tuple(cells // i for i in range(1, cells + 1))
+    # element ids are row-major (see _ferrers_covers): row i of U holds U_i
+    # bits of an ideal's mask, from bit 1 + U_1 + ... + U_(i-1) up
+    rows = [(start, (1 << part) - 1) for start, part in zip(accumulate(parts, initial=1), parts)]
+    return column_strict_ferrers_poset(Partition(parts)), rows
 
 
 def rectangle_eulerian_sweep(
@@ -490,68 +531,94 @@ def _ideal_chain_counts(poset: LabeledPoset) -> tuple[int, ...]:
     3.15), and dropping its repeats leaves a strict one, so the value at n
     is the sum of s_k * C(n, k) (the chains of J(P), EC1 3.12).
 
+    The last layer of ``_ideal_chain_layers`` run to the whole poset; past
+    DEFAULT_MAX_CHAIN_WORK units of work it raises ``BudgetExceededError``.
+    """
+    p = poset.size
+    for layer in _ideal_chain_layers(poset, p):
+        pass
+    (packed,) = layer.values()
+    return _slots(packed, (p**p).bit_length(), p + 1)
+
+
+def _ideal_chain_layers(poset: LabeledPoset, size: int) -> Iterator[dict[int, int]]:
+    """For m = 0..size, the strict chains of every order ideal of m elements,
+    keyed by its bitmask: one int per ideal, with slot k, of
+    (size**size).bit_length() bits, counting the strict chains of k levels
+    from the empty ideal up to it (see ``_ideal_chain_counts``). A chain of
+    k levels maps the ideal's m <= size elements onto them, so no count
+    reaches k^m <= size^size and the sums never carry between slots.
+
     Ideals and steps come from the listed covers, the labels and the
     topological order alone, not from the transitive closure or the ideal
     DP of ``eulerian_polynomial``, so the two engines stay independent: the
     DP reads the listed covers only to grow its frontiers, admits an
     element by the transitive closure (``_below``), and shares no code with
-    this pass. One
-    pass over the ideals by size adds each one's chain polynomial, shifted
-    one slot up, into each of its strict targets.
+    this pass. One pass over the ideals by size adds each one's chain
+    polynomial, shifted one slot up, into each of its strict targets of at
+    most ``size`` elements; the layers past ``size`` are never built.
 
     The work is counted where it is done, in units of one element scanned,
     one target offered or one step taken: each ideal is charged the scan of
     the p elements, and each element the targets it is offered to and the
-    steps it adds, before they join the list. A step costs one unit more per
-    2^11 bits of the chain polynomial it moves, so long posets, whose
-    polynomials are wide, pay for them. Past DEFAULT_MAX_CHAIN_WORK units it
-    raises ``BudgetExceededError``.
+    steps it adds, before they join the list. An element is offered to no
+    target when one of its listed lower covers lies outside the ideal and
+    outside every target built so far. A step costs one unit more per 2^11
+    bits of the chain polynomial it moves, so long posets, whose polynomials
+    are wide, pay for them. Past DEFAULT_MAX_CHAIN_WORK units it raises
+    ``BudgetExceededError``.
     """
     p = poset.size
-    # a poset has at least p + 1 ideals (the prefixes of a linear extension),
-    # so a long one is refused before any scan of its wide bitmasks
-    if p * (p + 1) > DEFAULT_MAX_CHAIN_WORK:
+    # layers 0..size-1 hold at least one ideal each, which scans p elements
+    # and offers an addable one at least its own ideal, so a long poset is
+    # refused before any scan of its wide bitmasks
+    if (p + 1) * size > DEFAULT_MAX_CHAIN_WORK:
         raise _chain_budget_error()
     budget = DEFAULT_MAX_CHAIN_WORK
     lower, inverted = _cover_masks(poset)
     order = poset._topological_order
-    # each chain polynomial is one int with `width` bits per coefficient: a
-    # strict chain of k levels maps the ideal onto them, so no coefficient
-    # reaches k^p <= p^p and the sums never carry between slots
-    width = (p**p).bit_length()
+    width = (size**size).bit_length()
     # by_size[m]: the packed chain polynomial of each ideal of m elements
     # reached so far; a size is complete once every smaller one is done
-    by_size: list[dict[int, int]] = [{} for _ in range(p + 1)]
+    by_size: list[dict[int, int]] = [{} for _ in range(size + 1)]
     by_size[0][0] = 1
-    for layer in by_size[:p]:
+    for m in range(size):
+        layer = by_size[m]
+        by_size[m] = {}  # a finished size is read only by the caller
+        yield layer
         for ideal, chains in layer.items():
             budget -= p
             shifted = chains << width
             step = 1 + (shifted.bit_length() >> 11)
             # the targets of an ideal grow element by element in topological
-            # order, so each element's lower covers are settled when offered
+            # order, so each element's lower covers are settled when it is
+            # offered. Every target is the ideal plus elements added to some
+            # target (reached), so an element with a lower cover outside
+            # those is offered to none; a target of `size` elements is
+            # offered nothing
             targets = [ideal]
+            reached = ideal
             for e in order:
-                if ideal >> e & 1:
+                if ideal >> e & 1 or lower[e] & ~reached:
                     continue
                 bit = 1 << e
+                needed = lower[e]
+                clash = inverted[e] & ~ideal
                 added = [
-                    target | bit
-                    for target in targets
-                    if not lower[e] & ~target and not inverted[e] & target & ~ideal
+                    target | bit for target in targets if not needed & ~target and not clash & target
                 ]
                 budget -= len(targets) + step * len(added)
                 if budget < 0:
                     raise _chain_budget_error()
-                targets += added
-            for target in targets[1:]:
-                grown = by_size[target.bit_count()]
-                grown[target] = grown[target] + shifted if target in grown else shifted
-        # a finished size is never read again
-        layer.clear()
-    (packed,) = by_size[p].values()
-    mask = (1 << width) - 1
-    return tuple(packed >> (width * k) & mask for k in range(p + 1))
+                if added:
+                    reached |= bit
+                for target in added:
+                    count = target.bit_count()
+                    grown = by_size[count]
+                    grown[target] = grown[target] + shifted if target in grown else shifted
+                    if count < size:
+                        targets.append(target)
+    yield by_size[size]
 
 
 def _chain_budget_error() -> BudgetExceededError:
@@ -575,11 +642,18 @@ def order_polynomial_value(poset: LabeledPoset, n: int) -> int:
     return _series_value(eulerian_polynomial(poset), poset.size, n)
 
 
-def verify_order_gf(poset: LabeledPoset) -> IdentityReport:
+def verify_order_gf(
+    poset: LabeledPoset | Partition,
+    eulerian: IntPolynomial | None = None,
+    strict: Sequence[int] | None = None,
+) -> IdentityReport:
     """Check the order series identity x W(x) = sum_k s_k x^k (1-x)^(p-k)
     coefficient by coefficient, with W the Eulerian polynomial and s_k the
     strict ideal chains of ``_ideal_chain_counts``.
 
+    A shape stands for its column-strict labeled Ferrers poset. W and the
+    s_k are ``eulerian`` and ``strict`` when given (the ``ordergf`` suite
+    reads both off ``ferrers_order_sweep``), else computed on the poset.
     Both sides are the numerator of sum_n Omega(P, n) x^n over (1-x)^(p+1),
     so every coefficient of W is compared; for p = 0 the left side is W
     itself, since Omega(P, 0) = 1 there. The chains read only the listed
@@ -588,9 +662,14 @@ def verify_order_gf(poset: LabeledPoset) -> IdentityReport:
     covers only to find the candidates. The chains are counted first, so a poset
     past their budget is refused before the DP runs on it.
     """
-    p = poset.size
-    strict = _ideal_chain_counts(poset)
-    w = eulerian_polynomial(poset).coefficients
+    p = poset.cells if isinstance(poset, Partition) else poset.size
+    if isinstance(poset, Partition) and (strict is None or eulerian is None):
+        poset = column_strict_ferrers_poset(poset)
+    if strict is None:
+        strict = _ideal_chain_counts(poset)
+    if eulerian is None:
+        eulerian = eulerian_polynomial(poset)
+    w = eulerian.coefficients
     left = (0, *w) if p else w
     # after step k, right holds sum_(j <= k) s_j x^j (1-x)^(k-j)
     right: list[int] = []

@@ -29,6 +29,7 @@ from narayana.posets import (
     eulerian_polynomial,
     ferrers_cells,
     ferrers_eulerian_sweep,
+    ferrers_order_sweep,
     ferrers_poset,
     is_column_strict,
     jordan_holder_set,
@@ -324,6 +325,35 @@ class TestFerrersEulerianSweep:
         assert list(ferrers_eulerian_sweep(0)) == []
 
 
+class TestFerrersOrderSweep:
+    def test_matches_both_engines_on_each_shape(self):
+        swept = {shape: (w, strict) for shape, w, strict in ferrers_order_sweep(12)}
+        shapes = [shape for total in range(1, 13) for shape in enumerate_partitions(total)]
+        assert len(swept) == len(shapes) == 271
+        for shape in shapes:
+            poset = column_strict_ferrers_poset(shape)
+            assert swept[shape] == (eulerian_polynomial(poset), _ideal_chain_counts(poset)), shape
+
+    def test_small_sweeps_are_pinned(self):
+        assert list(ferrers_order_sweep(1)) == [(Partition((1,)), IntPolynomial([1]), (0, 1))]
+        # a row of two or three cells is also one level, since a row has no
+        # inverted cover
+        strict = {shape.parts: chains for shape, _, chains in ferrers_order_sweep(3)}
+        assert strict == {
+            (1,): (0, 1), (2,): (0, 1, 1), (1, 1): (0, 0, 1),
+            (3,): (0, 1, 2, 1), (2, 1): (0, 0, 2, 2), (1, 1, 1): (0, 0, 0, 1),
+        }
+        assert list(ferrers_order_sweep(0)) == []
+
+    def test_reaches_the_cell_cap_within_the_chain_budget(self, monkeypatch):
+        # the chains of every shape up to 22 cells take 1,016,195 units
+        monkeypatch.setattr(posets, "DEFAULT_MAX_CHAIN_WORK", 1_016_195)
+        assert sum(1 for _ in ferrers_order_sweep(DEFAULT_MAX_CELLS)) == 4507
+        monkeypatch.setattr(posets, "DEFAULT_MAX_CHAIN_WORK", 1_016_194)
+        with pytest.raises(BudgetExceededError, match="chain budget"):
+            next(ferrers_order_sweep(DEFAULT_MAX_CELLS))
+
+
 class TestRectangleEulerianSweep:
     @pytest.mark.parametrize("cells", range(1, 17))
     @pytest.mark.parametrize(
@@ -504,6 +534,8 @@ class TestOrderSeriesIdentity:
 
     def test_diamond(self):
         assert verify_order_gf(column_strict_ferrers_poset(Partition((2, 2))))
+        # a shape stands for its column-strict labeled Ferrers poset
+        assert verify_order_gf(Partition((2, 2)))
 
     def test_antichain_matches_cubes(self):
         poset = antichain_poset(3)
@@ -543,12 +575,12 @@ class TestOrderSeriesMutations:
 
     def test_a_pass_that_also_takes_identity_steps_fails(self, monkeypatch):
         # each ideal also steps to itself once before its chains move on
-        source = inspect.getsource(posets._ideal_chain_counts)
+        source = inspect.getsource(posets._ideal_chain_layers)
         step = "shifted = chains << width"
         assert source.count(step) == 1
         namespace = dict(vars(posets))
         exec(source.replace(step, "shifted = (chains + (chains << width)) << width"), namespace)
-        monkeypatch.setattr(posets, "_ideal_chain_counts", namespace["_ideal_chain_counts"])
+        monkeypatch.setattr(posets, "_ideal_chain_layers", namespace["_ideal_chain_layers"])
         diamond = column_strict_ferrers_poset(Partition((2, 2)))
         for poset in (chain_poset(2), antichain_poset(3), diamond):
             assert not verify_order_gf(poset), poset.canonical_key()
@@ -646,12 +678,13 @@ def _antichain_work(size: int) -> int:
 def _reversed_chain_work(size: int) -> int:
     """Units charged for a chain with reversed labels: the ideal of m
     elements scans size elements and offers one target to element m + 1 and
-    two to each later one, and its one step moves the single chain x^m one
-    slot up, an int of (m + 1) * width + 1 bits, at one unit more per 2^11
-    of them."""
+    two to element m + 2, which joins neither, so every later element has a
+    lower cover outside them all and is offered none; its one step moves the
+    single chain x^m one slot up, an int of (m + 1) * width + 1 bits, at one
+    unit more per 2^11 of them."""
     width = (size**size).bit_length()
     return sum(
-        size + 1 + 2 * (size - m - 1) + 1 + ((m + 1) * width + 1 >> 11) for m in range(size)
+        size + 1 + 2 * (m + 2 <= size) + 1 + ((m + 1) * width + 1 >> 11) for m in range(size)
     )
 
 
